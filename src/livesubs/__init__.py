@@ -15,6 +15,7 @@ from .core import (
     Terminator,
     TokenEvent,
     TokenKind,
+    blocks_from_lines,
     delay_k_seconds,
     extract_blocks,
     extract_lines,
@@ -42,7 +43,6 @@ from .formats import (
 )
 from .latency import (
     EmptyLogError,
-    LatencyReport,
     MismatchedSegmentError,
     average_lagging,
     display_delay,

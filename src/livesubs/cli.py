@@ -22,19 +22,12 @@ import time
 from pathlib import Path
 
 from .core import StreamError, extract_blocks, extract_lines
-from .display import (
-    DisplayMode,
-    close_schedule,
-    group_word_blocks,
-    schedule_block_mode,
-    schedule_line_mode,
-    schedule_word_mode,
-)
+from .display import DisplayMode, close_schedule, schedule_block_mode
 from .formats import export_srt, read_log_corpus, write_log_corpus
 from .formats import read_annotated_refs
 from .latency import average_lagging, display_delay
-from .reading_speed import rs_blocks, rs_lines, rs_stats, rs_word_blocks
-from .report import evaluate_corpus, render_table, write_report
+from .reading_speed import rs_stats
+from .report import MODES, evaluate_corpus, render_table, write_report
 from .waitk import WaitKConfig, simulate_waitk
 
 EXIT_OK = 0
@@ -162,24 +155,17 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _build_schedule(log, mode: DisplayMode, max_row_chars: int):
-    if mode is DisplayMode.WORD_FOR_WORD:
-        return schedule_word_mode(group_word_blocks(log.events, max_row_chars))
-    if mode is DisplayMode.BLOCKS:
-        return schedule_block_mode(extract_blocks(log.events))
-    return schedule_line_mode(extract_lines(log.events))
-
-
 def cmd_replay(args) -> int:
-    logs = _read_logs(args.logs)
-    log = next((x for x in logs if x.segment_id == args.segment), None)
+    # Stream the corpus and stop at the first match: later records are not read.
+    with open(args.logs, encoding="utf-8") as f:
+        log = next((x for x in read_log_corpus(f) if x.segment_id == args.segment), None)
     if log is None:
         print(f"error: unknown segment id {args.segment!r}", file=sys.stderr)
         return EXIT_SCHEMA
     mode = _MODES[args.mode]
-    schedule = close_schedule(
-        _build_schedule(log, mode, args.max_row_chars), log.end_time + log.delay_k
-    )
+    spec = MODES[mode]
+    units = spec.units(log, extract_lines(log.events), args.max_row_chars)
+    schedule = close_schedule(spec.schedule(units), log.end_time + log.delay_k)
     prev_onset = None
     for state in schedule.states:
         if args.speed > 0 and prev_onset is not None:
@@ -191,14 +177,7 @@ def cmd_replay(args) -> int:
     # metric summary for the replayed segment
     al = average_lagging(log)
     delay = display_delay(schedule, log, al)
-    delay_k = log.delay_k
-    if mode is DisplayMode.WORD_FOR_WORD:
-        samples = rs_word_blocks(group_word_blocks(log.events, args.max_row_chars), delay_k)
-    elif mode is DisplayMode.BLOCKS:
-        samples = rs_blocks(extract_blocks(log.events), delay_k)
-    else:
-        samples = rs_lines(extract_lines(log.events), delay_k)
-    stats = rs_stats(samples, args.rs_threshold)
+    stats = rs_stats(spec.rs(units, log.delay_k, log.segment_id), args.rs_threshold)
     print()
     print(f"segment {log.segment_id} ({mode.value} mode)")
     print(f"  AL: {al:.0f} ms   delay: {delay:.0f} ms")

@@ -8,8 +8,10 @@ from the start of the source audio.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -25,12 +27,14 @@ __all__ = [
     "parse_token_stream",
     "extract_blocks",
     "extract_lines",
+    "blocks_from_lines",
     "delay_k_seconds",
 ]
 
 EOL_SURFACE = "<eol>"
 EOB_SURFACE = "<eob>"
 EOS_SURFACE = "<eos>"
+_WHITESPACE = re.compile(r"\s")  # the characters str.isspace() accepts
 
 
 class StreamError(ValueError):
@@ -73,7 +77,7 @@ def classify_surface(surface: str) -> TokenKind:
     return _BREAK_KINDS.get(surface, TokenKind.WORD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenEvent:
     """One emitted token with its emission timestamp."""
 
@@ -84,7 +88,7 @@ class TokenEvent:
     def __post_init__(self) -> None:
         if not self.surface:
             raise EmptySurfaceError("token surface is empty")
-        if self.kind is TokenKind.WORD and any(c.isspace() for c in self.surface):
+        if self.kind is TokenKind.WORD and _WHITESPACE.search(self.surface):
             raise StreamError(f"word surface contains whitespace: {self.surface!r}")
         if self.emit_time < 0:
             raise StreamError(f"negative emission time: {self.emit_time}")
@@ -114,17 +118,18 @@ def parse_token_stream(
     return tuple(events)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubtitleLine:
     """A break-delimited subtitle line with per-word timestamps."""
 
     words: tuple[TokenEvent, ...]
     break_time: float
     terminator: Terminator
+    # Every consumer reads the text, most of them more than once: join it once.
+    text: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def text(self) -> str:
-        return " ".join(w.surface for w in self.words)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "text", " ".join([w.surface for w in self.words]))
 
     @property
     def char_length(self) -> int:
@@ -209,7 +214,7 @@ class EmissionLog:
     def delay_k(self) -> float:
         return delay_k_seconds(self.wait_k, self.step_size)
 
-    @property
+    @cached_property
     def words(self) -> tuple[TokenEvent, ...]:
         return tuple(ev for ev in self.events if ev.is_word)
 
@@ -218,52 +223,14 @@ class EmissionLog:
         return self.events[-1].emit_time if self.events else 0.0
 
 
-def _finish_line(
-    words: list[TokenEvent], break_event: TokenEvent | None, last_time: float
-) -> SubtitleLine:
-    if break_event is None:
-        return SubtitleLine(tuple(words), last_time, Terminator.IMPLICIT_END)
-    term = (
-        Terminator.END_OF_LINE
-        if break_event.kind is TokenKind.END_OF_LINE
-        else Terminator.END_OF_BLOCK
-    )
-    return SubtitleLine(tuple(words), break_event.emit_time, term)
-
-
 def extract_blocks(events: Sequence[TokenEvent]) -> tuple[SubtitleBlock, ...]:
     """Split a parsed event sequence into subtitle blocks.
 
     One block per ``<eob>``; ``<eol>`` splits lines inside a block. A trailing
-    run without ``<eob>`` forms a final implicit block whose block_time is the
-    last event's emission time. ``<eos>`` never contributes words.
+    run without ``<eob>`` forms a final implicit block (see blocks_from_lines).
+    ``<eos>`` never contributes words.
     """
-    blocks: list[SubtitleBlock] = []
-    cur_words: list[TokenEvent] = []
-    cur_lines: list[SubtitleLine] = []
-    for ev in events:
-        if ev.kind is TokenKind.WORD:
-            cur_words.append(ev)
-        elif ev.kind is TokenKind.END_OF_LINE:
-            cur_lines.append(_finish_line(cur_words, ev, ev.emit_time))
-            cur_words = []
-        elif ev.kind is TokenKind.END_OF_BLOCK:
-            cur_lines.append(_finish_line(cur_words, ev, ev.emit_time))
-            cur_words = []
-            blocks.append(
-                SubtitleBlock(tuple(cur_lines), ev.emit_time, Terminator.END_OF_BLOCK)
-            )
-            cur_lines = []
-        # <eos> only closes the segment
-    if cur_words:
-        cur_lines.append(_finish_line(cur_words, None, events[-1].emit_time))
-    if cur_lines:
-        blocks.append(
-            SubtitleBlock(
-                tuple(cur_lines), cur_lines[-1].break_time, Terminator.IMPLICIT_END
-            )
-        )
-    return tuple(blocks)
+    return blocks_from_lines(extract_lines(events))
 
 
 def extract_lines(events: Sequence[TokenEvent]) -> tuple[SubtitleLine, ...]:
@@ -274,9 +241,30 @@ def extract_lines(events: Sequence[TokenEvent]) -> tuple[SubtitleLine, ...]:
     for ev in events:
         if ev.kind is TokenKind.WORD:
             cur_words.append(ev)
-        elif ev.kind in (TokenKind.END_OF_LINE, TokenKind.END_OF_BLOCK):
-            lines.append(_finish_line(cur_words, ev, ev.emit_time))
+        elif ev.kind is TokenKind.END_OF_LINE:
+            lines.append(SubtitleLine(tuple(cur_words), ev.emit_time, Terminator.END_OF_LINE))
+            cur_words = []
+        elif ev.kind is TokenKind.END_OF_BLOCK:
+            lines.append(SubtitleLine(tuple(cur_words), ev.emit_time, Terminator.END_OF_BLOCK))
             cur_words = []
     if cur_words:
-        lines.append(_finish_line(cur_words, None, events[-1].emit_time))
+        lines.append(
+            SubtitleLine(tuple(cur_words), events[-1].emit_time, Terminator.IMPLICIT_END)
+        )
     return tuple(lines)
+
+
+def blocks_from_lines(lines: Sequence[SubtitleLine]) -> tuple[SubtitleBlock, ...]:
+    """Group extracted lines into blocks: a block is the run of lines up to
+    one closed by ``<eob>``. A trailing run forms a final implicit block
+    timed at its last line's break time."""
+    blocks: list[SubtitleBlock] = []
+    start = 0
+    for i, line in enumerate(lines, start=1):
+        if line.terminator is Terminator.END_OF_BLOCK:
+            blocks.append(SubtitleBlock(tuple(lines[start:i]), line.break_time, line.terminator))
+            start = i
+    if start < len(lines):
+        trailing = tuple(lines[start:])
+        blocks.append(SubtitleBlock(trailing, trailing[-1].break_time, Terminator.IMPLICIT_END))
+    return tuple(blocks)

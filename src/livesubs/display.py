@@ -36,6 +36,11 @@ class DisplayMode(Enum):
     BLOCKS = "block"
     SCROLLING_LINES = "line"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; Enum's default hashes the name in Python,
+    # which is slow for the per-segment, per-mode dicts.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class ScreenState:

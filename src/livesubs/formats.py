@@ -185,7 +185,8 @@ def export_srt(schedule: DisplaySchedule) -> str:
     for n, state in enumerate(schedule.states, start=1):
         if state.offset is None:
             raise ValueError("schedule has an open-ended state; close it first")
-        assert state.onset >= prev_end, "overlapping cues"
+        if state.onset < prev_end:
+            raise ValueError(f"overlapping cues: cue {n} starts before cue {n - 1} ends")
         prev_end = state.offset
         rows = "\n".join(state.rows)
         cues.append(

@@ -10,14 +10,12 @@ equals AL by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import fmean
 
 from .core import EmissionLog, StreamError
-from .display import DisplayMode, DisplaySchedule
+from .display import DisplaySchedule
 
 __all__ = [
-    "LatencyReport",
     "EmptyLogError",
     "MismatchedSegmentError",
     "average_lagging",
@@ -31,14 +29,6 @@ class EmptyLogError(StreamError):
 
 class MismatchedSegmentError(StreamError):
     """Schedule and log do not describe the same segment."""
-
-
-@dataclass(frozen=True)
-class LatencyReport:
-    """Per-segment (or corpus-mean) latency, in milliseconds."""
-
-    average_lagging: float
-    delay_by_mode: dict[DisplayMode, float]
 
 
 def _word_consumed_source(log: EmissionLog) -> list[float]:

@@ -30,6 +30,7 @@ __all__ = [
     "rs_blocks",
     "rs_lines",
     "rs_stats",
+    "block_conforms",
     "length_conformity",
     "RS_THRESHOLD_CPS",
     "MIN_CPL",
@@ -42,7 +43,7 @@ MIN_CPL = 6
 MAX_CPL = 42
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadingSpeedSample:
     """Reading speed of one subtitle unit.
 
@@ -194,16 +195,19 @@ def rs_stats(
     )
 
 
+def block_conforms(
+    block: SubtitleBlock, min_cpl: int = MIN_CPL, max_cpl: int = MAX_CPL
+) -> bool:
+    """Whether every line of a subtitle is min_cpl..max_cpl characters long
+    (inclusive, spaces included)."""
+    return all(min_cpl <= line.char_length <= max_cpl for line in block.lines)
+
+
 def length_conformity(
     blocks: Sequence[SubtitleBlock], min_cpl: int = MIN_CPL, max_cpl: int = MAX_CPL
 ) -> float | None:
-    """Percentage of subtitles whose every line is min_cpl..max_cpl
-    characters long (inclusive, spaces included)."""
+    """Percentage of subtitles that conform in length (block_conforms)."""
     if not blocks:
         return None
-    ok = sum(
-        1
-        for b in blocks
-        if all(min_cpl <= line.char_length <= max_cpl for line in b.lines)
-    )
+    ok = sum(1 for b in blocks if block_conforms(b, min_cpl, max_cpl))
     return 100.0 * ok / len(blocks)

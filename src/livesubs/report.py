@@ -2,9 +2,10 @@
 
 evaluate_log / evaluate_corpus wire the whole pipeline together: extract the
 subtitle structure from each emission log, compute reading-speed samples and
-latency for every display mode, and aggregate corpus statistics. Reports are
-serialized both as JSON and as an aligned text table with one row per mode
-(reading speed mean +/- std, conformity percentage, display delay).
+latency for every display mode (the MODES table says how for each mode), and
+aggregate corpus statistics. Reports are serialized both as JSON and as an
+aligned text table with one row per mode (reading speed mean +/- std,
+conformity percentage, display delay).
 """
 
 from __future__ import annotations
@@ -12,25 +13,26 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from .core import EmissionLog, TokenKind, extract_blocks, extract_lines
+from .core import EmissionLog, SubtitleLine, blocks_from_lines, extract_lines
 from .display import (
     MAX_ROW_CHARS,
     DisplayMode,
+    DisplaySchedule,
     group_word_blocks,
     schedule_block_mode,
     schedule_line_mode,
     schedule_word_mode,
 )
-from .latency import average_lagging, display_delay
+from .latency import average_lagging
 from .reading_speed import (
     MAX_CPL,
     MIN_CPL,
     RS_THRESHOLD_CPS,
     ReadingSpeedSample,
     ReadingSpeedStats,
-    length_conformity,
+    block_conforms,
     rs_blocks,
     rs_lines,
     rs_stats,
@@ -38,7 +40,9 @@ from .reading_speed import (
 )
 
 __all__ = [
+    "MODES",
     "MODE_ORDER",
+    "ModeSpec",
     "SegmentMetrics",
     "CorpusReport",
     "evaluate_log",
@@ -48,8 +52,46 @@ __all__ = [
     "write_report",
 ]
 
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """One display mode: units(log, lines, max_row_chars) cuts a segment into
+    the mode's units from its lines (one segmentation pass serves all modes);
+    rs(units, delay_k, segment_id) gives their reading-speed samples;
+    shown(unit, word) is when the word is first on screen; schedule(units)
+    builds the screen states that replay and SRT export render."""
+
+    units: Callable[[EmissionLog, Sequence[SubtitleLine], int], Sequence[Any]]
+    rs: Callable[[Sequence[Any], float, str], tuple[ReadingSpeedSample, ...]]
+    shown: Callable[[Any, Any], float]
+    schedule: Callable[[Sequence[Any]], DisplaySchedule]
+
+
+# The entries look the module's functions up when called, not at import, so
+# anything that rebinds those names (a wrapper, a mock) sees every call.
+MODES: dict[DisplayMode, ModeSpec] = {
+    DisplayMode.WORD_FOR_WORD: ModeSpec(
+        units=lambda log, lines, max_row_chars: group_word_blocks(log.events, max_row_chars),
+        rs=lambda units, delay_k, segment_id: rs_word_blocks(units, delay_k, segment_id),
+        shown=lambda group, word: word.emit_time,
+        schedule=lambda units: schedule_word_mode(units),
+    ),
+    DisplayMode.BLOCKS: ModeSpec(
+        units=lambda log, lines, max_row_chars: blocks_from_lines(lines),
+        rs=lambda units, delay_k, segment_id: rs_blocks(units, delay_k, segment_id),
+        shown=lambda block, word: block.block_time,
+        schedule=lambda units: schedule_block_mode(units),
+    ),
+    DisplayMode.SCROLLING_LINES: ModeSpec(
+        units=lambda log, lines, max_row_chars: lines,
+        rs=lambda units, delay_k, segment_id: rs_lines(units, delay_k, segment_id),
+        shown=lambda line, word: line.break_time,
+        schedule=lambda units: schedule_line_mode(units),
+    ),
+}
+
 # Fixed presentation order.
-MODE_ORDER = (DisplayMode.WORD_FOR_WORD, DisplayMode.BLOCKS, DisplayMode.SCROLLING_LINES)
+MODE_ORDER = tuple(MODES)
 
 
 @dataclass(frozen=True)
@@ -76,47 +118,34 @@ class CorpusReport:
 
 def evaluate_log(
     log: EmissionLog,
-    rs_threshold: float = RS_THRESHOLD_CPS,
     min_cpl: int = MIN_CPL,
     max_cpl: int = MAX_CPL,
     max_row_chars: int = MAX_ROW_CHARS,
 ) -> SegmentMetrics:
-    """All per-segment metrics for one emission log."""
-    delay_k = log.delay_k
-    blocks = extract_blocks(log.events)
-    lines = extract_lines(log.events)
-    word_blocks = group_word_blocks(log.events, max_row_chars)
-    eos_time = (
-        log.events[-1].emit_time
-        if log.events and log.events[-1].kind is TokenKind.END_OF_SEGMENT
-        else None
-    )
+    """All per-segment metrics for one emission log.
 
+    One segmentation pass serves all modes, and no screen states are built:
+    a mode's delay is AL plus the mean over words of (first shown - emitted).
+    """
+    lines = extract_lines(log.events)
+    units = {mode: spec.units(log, lines, max_row_chars) for mode, spec in MODES.items()}
     al = average_lagging(log)
-    delays = {
-        DisplayMode.WORD_FOR_WORD: display_delay(
-            schedule_word_mode(word_blocks, eos_time), log, al
-        ),
-        DisplayMode.BLOCKS: display_delay(schedule_block_mode(blocks), log, al),
-        DisplayMode.SCROLLING_LINES: display_delay(schedule_line_mode(lines), log, al),
-    }
-    samples = {
-        DisplayMode.WORD_FOR_WORD: rs_word_blocks(word_blocks, delay_k, log.segment_id),
-        DisplayMode.BLOCKS: rs_blocks(blocks, delay_k, log.segment_id),
-        DisplayMode.SCROLLING_LINES: rs_lines(lines, delay_k, log.segment_id),
-    }
-    conforming = sum(
-        1
-        for b in blocks
-        if all(min_cpl <= line.char_length <= max_cpl for line in b.lines)
-    )
+    delay_k = log.delay_k
+    delays = {}
+    samples = {}
+    for mode, spec in MODES.items():
+        shown = spec.shown
+        lags = [shown(u, w) - w.emit_time for u in units[mode] for w in u.words]
+        delays[mode] = al + 1000.0 * fmean(lags)
+        samples[mode] = spec.rs(units[mode], delay_k, log.segment_id)
+    blocks = units[DisplayMode.BLOCKS]
     return SegmentMetrics(
         segment_id=log.segment_id,
         average_lagging=al,
         delay_by_mode=delays,
         rs_samples=samples,
         n_blocks=len(blocks),
-        n_conforming_blocks=conforming,
+        n_conforming_blocks=sum(1 for b in blocks if block_conforms(b, min_cpl, max_cpl)),
     )
 
 
@@ -141,7 +170,7 @@ def evaluate_corpus(
     n_conforming = 0
     n_segments = 0
     for log in logs:
-        metrics = evaluate_log(log, rs_threshold, min_cpl, max_cpl, max_row_chars)
+        metrics = evaluate_log(log, min_cpl, max_cpl, max_row_chars)
         n_segments += 1
         al_values.append(metrics.average_lagging)
         for mode in MODE_ORDER:

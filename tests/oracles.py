@@ -76,6 +76,38 @@ def naive_rs_lines(
     return out
 
 
+def naive_blocks(tokens: list[tuple[str, float]]) -> list:
+    """Literal block splitter over raw (surface, time) tokens.
+
+    Walks the tokens once: words collect into the current line, <eol> closes
+    the line, <eob> closes the line and the block, <eos> is skipped. Words
+    left at the end close an implicit line at the last token's time, and
+    lines left at the end an implicit block at the last such line's time.
+    Returns [(lines, block_time, terminator)] with lines as
+    [(words, break_time, terminator)], words as [(surface, time)] and
+    terminators as "eol", "eob" or "implicit".
+    """
+    blocks: list = []
+    lines: list = []
+    words: list = []
+    for surface, t in tokens:
+        if surface == "<eos>":
+            continue
+        if surface in ("<eol>", "<eob>"):
+            lines.append((words, t, surface[1:-1]))
+            words = []
+            if surface == "<eob>":
+                blocks.append((lines, t, "eob"))
+                lines = []
+        else:
+            words.append((surface, t))
+    if words:
+        lines.append((words, tokens[-1][1], "implicit"))
+    if lines:
+        blocks.append((lines, lines[-1][1], "implicit"))
+    return blocks
+
+
 def naive_al_ms(g: list[float], duration: float) -> float:
     """Average Lagging in ms over per-word consumed-source times."""
     n = len(g)

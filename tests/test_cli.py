@@ -128,3 +128,13 @@ def test_out_dir_env_var(tmp_path, refs_file, monkeypatch):
     monkeypatch.setenv("LIVESUBS_OUT", str(tmp_path / "envout"))
     assert main(["simulate", str(refs_file)]) == 0
     assert (tmp_path / "envout" / "emissions.jsonl").exists()
+
+
+def test_replay_stops_at_first_match(tmp_path, logs_file):
+    first = logs_file.read_text(encoding="utf-8").splitlines()[0]
+    corpus = tmp_path / "broken_tail.jsonl"
+    corpus.write_text(first + "\n{not json\n", encoding="utf-8")
+    # the invalid later line is never read when the first record matches
+    assert main(["replay", str(corpus), "--segment", "seg00000", "--speed", "0"]) == 0
+    # a segment past it is still a data error
+    assert main(["replay", str(corpus), "--segment", "seg00001", "--speed", "0"]) == 3

@@ -176,3 +176,31 @@ def test_format_srt_time():
     assert format_srt_time(0.0) == "00:00:00,000"
     assert format_srt_time(3661.5) == "01:01:01,500"
     assert format_srt_time(0.0004) == "00:00:00,000"
+
+
+OVERLAPPING = """
+from livesubs import DisplayMode, DisplaySchedule, ScreenState, export_srt
+
+states = (ScreenState(("a",), 1.0, 3.0), ScreenState(("b",), 2.0, 4.0))
+try:
+    export_srt(DisplaySchedule(DisplayMode.BLOCKS, states, {}))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_overlapping_cues_rejected_even_under_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import livesubs
+
+    src = os.path.dirname(os.path.dirname(livesubs.__file__))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", OVERLAPPING],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert "overlapping cues" in proc.stdout
