@@ -11,23 +11,32 @@ threshold, 6-42 characters per line, 84-character rows. The LIVESUBS_OUT
 environment variable sets the default output directory.
 
 Exit codes: 0 success, 2 argument errors, 3 schema/data errors, 4 I/O errors.
+
+evaluate and export-srt read the corpus in fixed runs of lines and hand
+each run to a pool of --jobs worker processes that parse it and do the
+work; results come back, and are written, in file order, so the output does
+not depend on the job count.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
+from collections import deque
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 
 from .core import StreamError, extract_blocks, extract_lines
 from .display import DisplayMode, close_schedule, schedule_block_mode
-from .formats import export_srt, read_log_corpus, write_log_corpus
+from .formats import SchemaError, export_srt, read_log_corpus, write_log_corpus
 from .formats import read_annotated_refs
 from .latency import average_lagging, display_delay
 from .reading_speed import rs_stats
-from .report import MODES, evaluate_corpus, render_table, write_report
+from .report import MODES, aggregate_segments, evaluate_log, render_table, write_report
 from .waitk import WaitKConfig, simulate_waitk
 
 EXIT_OK = 0
@@ -37,6 +46,9 @@ EXIT_IO = 4
 
 _MODES = {m.value: m for m in DisplayMode}
 
+# Corpus lines per unit of work handed to a worker process.
+CHUNK_LINES = 256
+
 
 def _out_dir(args) -> Path:
     if args.out is not None:
@@ -44,15 +56,44 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get("LIVESUBS_OUT", "."))
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type: convert the text, then require ok(value)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default: $LIVESUBS_OUT or cwd)")
 
 
-def _add_policy(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=3, help="wait-k parameter")
-    parser.add_argument("--step-ms", type=float, default=280.0, help="read step size in ms")
+def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--latency-ms", type=float, default=0.0, help="per-token compute latency in ms"
+        "--jobs", type=_AT_LEAST_ONE, default=os.cpu_count() or 1,
+        help="worker processes (default: the number of CPUs); output does not depend on it",
+    )
+
+
+def _add_policy(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k", type=_AT_LEAST_ONE, default=3, help="wait-k parameter")
+    parser.add_argument("--step-ms", type=_POSITIVE, default=280.0, help="read step size in ms")
+    parser.add_argument(
+        "--latency-ms", type=_NON_NEGATIVE, default=0.0, help="per-token compute latency in ms"
     )
 
 
@@ -60,7 +101,7 @@ def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rs-threshold", type=float, default=21.0)
     parser.add_argument("--cpl-min", type=int, default=6)
     parser.add_argument("--cpl-max", type=int, default=42)
-    parser.add_argument("--max-row-chars", type=int, default=84)
+    parser.add_argument("--max-row-chars", type=_AT_LEAST_ONE, default=84)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[*_MODES, "all"], default="all")
     _add_metric_flags(p)
     p.add_argument("--per-segment", action="store_true", help="include per-segment breakdown")
+    _add_jobs(p)
     _add_common(p)
 
     p = sub.add_parser("replay", help="replay one segment's screen states")
@@ -95,14 +137,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-srt", help="export blocks-mode SRT files")
     p.add_argument("logs", help="emission-log corpus file")
+    _add_jobs(p)
     _add_common(p)
 
     return parser
 
 
-def _read_logs(path: str) -> list:
+def _chunks(lines):
+    """(first line number, lines) for consecutive runs of CHUNK_LINES lines."""
+    start = 1
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        yield start, chunk
+        start += len(chunk)
+
+
+def _map_chunks(fn, path: str, jobs: int):
+    """fn((first line number, raw lines)) over the corpus at path, run by run;
+    yields the results in file order.
+
+    With one job, or a corpus of one run, fn runs in this process. Otherwise
+    a pool of jobs workers runs it, with at most 2 * jobs runs in flight, so
+    neither the corpus nor the results pile up in memory. An exception fn
+    raises is raised here, in file order.
+    """
     with open(path, encoding="utf-8") as f:
-        return list(read_log_corpus(f))
+        chunks = _chunks(f)
+        head = list(islice(chunks, 2))
+        if jobs == 1 or len(head) < 2:
+            yield from map(fn, chain(head, chunks))
+            return
+        # Imported here: loading multiprocessing.pool adds about 20 ms to the
+        # start-up of every command that does not use it, --help included.
+        # The default start method (fork on Linux) starts a worker in a few
+        # ms; spawn re-imports the package in each one, about 0.2 s.
+        import multiprocessing
+
+        with multiprocessing.Pool(jobs) as pool:
+            pending: deque = deque()
+            for chunk in chain(head, chunks):
+                pending.append(pool.apply_async(fn, (chunk,)))
+                if len(pending) >= 2 * jobs:
+                    yield pending.popleft().get()
+            while pending:
+                yield pending.popleft().get()
 
 
 def cmd_simulate(args) -> int:
@@ -123,19 +200,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk) -> list:
+    start, lines = chunk
+    return [
+        evaluate_log(log, min_cpl, max_cpl, max_row_chars)
+        for log in read_log_corpus(lines, start=start)
+    ]
+
+
 def cmd_evaluate(args) -> int:
-    logs = _read_logs(args.logs)
-    if not logs:
-        print("error: empty corpus", file=sys.stderr)
-        return EXIT_SCHEMA
-    report = evaluate_corpus(
-        logs,
+    work = partial(_evaluate_chunk, args.cpl_min, args.cpl_max, args.max_row_chars)
+    report = aggregate_segments(
+        chain.from_iterable(_map_chunks(work, args.logs, args.jobs)),
         rs_threshold=args.rs_threshold,
         min_cpl=args.cpl_min,
         max_cpl=args.cpl_max,
-        max_row_chars=args.max_row_chars,
         keep_segments=args.per_segment,
     )
+    if report.n_segments == 0:
+        print("error: empty corpus", file=sys.stderr)
+        return EXIT_SCHEMA
     table = render_table(report)
     if args.mode != "all":
         wanted = _MODES[args.mode]
@@ -189,20 +273,63 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def cmd_export_srt(args) -> int:
-    logs = _read_logs(args.logs)
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
-    for log in logs:
+def _render_srt_chunk(chunk) -> list[tuple[int, str, bytes, bool]]:
+    """(line number, segment id, SRT file contents, no blocks) per record."""
+    start, lines = chunk
+    # read_log_corpus yields one log per non-blank line, in order
+    numbers = (n for n, line in enumerate(lines, start) if line.strip())
+    rendered = []
+    for lineno, log in zip(numbers, read_log_corpus(lines, start=start)):
         blocks = extract_blocks(log.events)
-        if not blocks:
-            print(f"warning: segment {log.segment_id} is empty", file=sys.stderr)
         schedule = close_schedule(
             schedule_block_mode(blocks), log.end_time + log.delay_k
         )
-        path = out / f"{log.segment_id}.srt"
-        path.write_text(export_srt(schedule), encoding="utf-8")
-    print(f"wrote {len(logs)} SRT files to {out}")
+        srt = export_srt(schedule).encode("utf-8")
+        rendered.append((lineno, log.segment_id, srt, not blocks))
+    return rendered
+
+
+_UNSAFE_ID_CHARS = {c for c in ("/", os.sep, os.altsep, "\0") if c}
+
+
+def _write_file(name: str, data: bytes, dir_fd: int) -> None:
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC
+    fd = os.open(name, flags, 0o666, dir_fd=dir_fd)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+def cmd_export_srt(args) -> int:
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
+    first_line: dict[str, int] = {}
+    # This process alone creates the files, in file order; the workers only
+    # parse and render. Creating files is kernel time that a second creator
+    # in the same directory doubles rather than overlaps.
+    dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
+    try:
+        for chunk in _map_chunks(_render_srt_chunk, args.logs, args.jobs):
+            for lineno, seg_id, data, empty in chunk:
+                if _UNSAFE_ID_CHARS.intersection(seg_id):
+                    raise SchemaError(
+                        f"segment id {seg_id!r} cannot name a file in {out}", lineno, "id"
+                    )
+                if seg_id in first_line:
+                    raise SchemaError(
+                        f"duplicate segment id {seg_id!r} (first on line {first_line[seg_id]})",
+                        lineno, "id",
+                    )
+                first_line[seg_id] = lineno
+                if empty:
+                    print(f"warning: segment {seg_id} is empty", file=sys.stderr)
+                _write_file(f"{seg_id}.srt", data, dir_fd)
+    finally:
+        os.close(dir_fd)
+    print(f"wrote {len(first_line)} SRT files to {out}")
     return EXIT_OK
 
 
@@ -217,6 +344,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "cpl_min") and args.cpl_min > args.cpl_max:
+        parser.error(f"--cpl-min {args.cpl_min} is greater than --cpl-max {args.cpl_max}")
     try:
         return _COMMANDS[args.command](args)
     except StreamError as exc:

@@ -38,7 +38,23 @@ _WHITESPACE = re.compile(r"\s")  # the characters str.isspace() accepts
 
 
 class StreamError(ValueError):
-    """Malformed token stream."""
+    """Malformed token stream. ``line`` and ``field``, when known, locate the
+    bad record in its file."""
+
+    def __init__(self, message: str, line: int | None = None, field: str | None = None):
+        super().__init__(self._text(message, line, field))
+        self.message = message
+        self.line = line
+        self.field = field
+
+    @staticmethod
+    def _text(message: str, line: int | None, field: str | None) -> str:
+        return message
+
+    def __reduce__(self):
+        # Rebuild from the parts, not from the composed text, so the error
+        # is unchanged after pickling (raised in a worker process).
+        return type(self), (self.message, self.line, self.field)
 
 
 class NonMonotonicTimeError(StreamError):

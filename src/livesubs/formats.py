@@ -14,6 +14,7 @@ write(read(x)) is byte-identical for canonical records.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Iterable, Iterator
 
 from .core import (
@@ -41,13 +42,12 @@ __all__ = [
 class SchemaError(StreamError):
     """A corpus record does not match the interchange schema."""
 
-    def __init__(self, message: str, line: int | None = None, field: str | None = None):
+    @staticmethod
+    def _text(message: str, line: int | None, field: str | None) -> str:
         where = f"line {line}" if line is not None else "record"
         if field is not None:
             where += f", field {field!r}"
-        super().__init__(f"{where}: {message}")
-        self.line = line
-        self.field = field
+        return f"{where}: {message}"
 
 
 class NonPositiveDurationError(SchemaError):
@@ -111,16 +111,34 @@ def log_to_record(log: EmissionLog) -> dict:
     return record
 
 
-def read_log_corpus(source: Iterable[str]) -> Iterator[EmissionLog]:
-    """Parse a line-delimited log corpus, yielding logs in file order."""
-    for lineno, line in enumerate(source, start=1):
+class _NonFiniteNumber(ValueError):
+    pass
+
+
+def _reject_constant(name: str):
+    raise _NonFiniteNumber(name)
+
+
+# Python's JSON reader accepts NaN and Infinity, which no metric survives.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def read_log_corpus(source: Iterable[str], start: int = 1) -> Iterator[EmissionLog]:
+    """Parse a line-delimited log corpus, yielding logs in file order.
+
+    start is the file line number of the first line of source, so errors
+    name the right line when source is a run of lines from inside a file.
+    """
+    for lineno, line in enumerate(source, start=start):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = _DECODER.decode(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}", lineno, None) from exc
+        except _NonFiniteNumber as exc:
+            raise SchemaError(f"non-finite number {exc}", lineno, None) from None
         if not isinstance(record, dict):
             raise SchemaError("record is not an object", lineno, None)
         yield log_from_record(record, lineno)
@@ -151,6 +169,8 @@ def read_annotated_refs(source: Iterable[str]):
             duration = float(dur_text)
         except ValueError as exc:
             raise SchemaError(f"bad duration {dur_text!r}", lineno, "duration") from exc
+        if not math.isfinite(duration):
+            raise SchemaError(f"non-finite duration {dur_text!r}", lineno, "duration")
         if duration <= 0:
             raise NonPositiveDurationError("duration must be > 0", lineno, "duration")
         tokens = tuple(token_text.split())

@@ -3,9 +3,10 @@
 evaluate_log / evaluate_corpus wire the whole pipeline together: extract the
 subtitle structure from each emission log, compute reading-speed samples and
 latency for every display mode (the MODES table says how for each mode), and
-aggregate corpus statistics. Reports are serialized both as JSON and as an
-aligned text table with one row per mode (reading speed mean +/- std,
-conformity percentage, display delay).
+aggregate corpus statistics (aggregate_segments, which also folds metrics
+computed elsewhere, such as in worker processes). Reports are serialized
+both as JSON and as an aligned text table with one row per mode (reading
+speed mean +/- std, conformity percentage, display delay).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "CorpusReport",
     "evaluate_log",
     "evaluate_corpus",
+    "aggregate_segments",
     "report_to_dict",
     "render_table",
     "write_report",
@@ -157,7 +159,21 @@ def evaluate_corpus(
     max_row_chars: int = MAX_ROW_CHARS,
     keep_segments: bool = False,
 ) -> CorpusReport:
-    """Aggregate metrics over a corpus of emission logs.
+    """Aggregate metrics over a corpus of emission logs."""
+    return aggregate_segments(
+        (evaluate_log(log, min_cpl, max_cpl, max_row_chars) for log in logs),
+        rs_threshold, min_cpl, max_cpl, keep_segments,
+    )
+
+
+def aggregate_segments(
+    segments: Iterable[SegmentMetrics],
+    rs_threshold: float = RS_THRESHOLD_CPS,
+    min_cpl: int = MIN_CPL,
+    max_cpl: int = MAX_CPL,
+    keep_segments: bool = False,
+) -> CorpusReport:
+    """Fold per-segment metrics, in corpus order, into a corpus report.
 
     Reading-speed statistics pool samples across segments; AL and delays are
     means of the per-segment values.
@@ -169,8 +185,7 @@ def evaluate_corpus(
     n_blocks = 0
     n_conforming = 0
     n_segments = 0
-    for log in logs:
-        metrics = evaluate_log(log, min_cpl, max_cpl, max_row_chars)
+    for metrics in segments:
         n_segments += 1
         al_values.append(metrics.average_lagging)
         for mode in MODE_ORDER:

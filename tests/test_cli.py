@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -138,3 +139,85 @@ def test_replay_stops_at_first_match(tmp_path, logs_file):
     assert main(["replay", str(corpus), "--segment", "seg00000", "--speed", "0"]) == 0
     # a segment past it is still a data error
     assert main(["replay", str(corpus), "--segment", "seg00001", "--speed", "0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "x.jsonl", "--jobs", "0"],
+        ["export-srt", "x.jsonl", "--jobs", "-1"],
+        ["simulate", "x.tsv", "--k", "0"],
+        ["simulate", "x.tsv", "--step-ms", "0"],
+        ["simulate", "x.tsv", "--step-ms", "-280"],
+        ["simulate", "x.tsv", "--step-ms", "nan"],
+        ["simulate", "x.tsv", "--step-ms", "inf"],
+        ["simulate", "x.tsv", "--latency-ms", "-1"],
+        ["evaluate", "x.jsonl", "--cpl-min", "50", "--cpl-max", "10"],
+        ["replay", "x.jsonl", "--segment", "s", "--cpl-min", "50", "--cpl-max", "10"],
+        ["evaluate", "x.jsonl", "--max-row-chars", "0"],
+    ],
+)
+def test_invalid_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_jobs_defaults_to_cpu_count():
+    from livesubs.cli import build_parser
+
+    for command in ("evaluate", "export-srt"):
+        assert build_parser().parse_args([command, "x.jsonl"]).jobs == (os.cpu_count() or 1)
+
+
+def _with_id(logs_file, tmp_path, lineno, seg_id):
+    lines = logs_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[lineno - 1])
+    record["id"] = seg_id
+    lines[lineno - 1] = json.dumps(record) + "\n"
+    corpus = tmp_path / "ids.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "seg_id",
+    ["../escaped", "a/b", "nul\0byte", *{os.sep, os.altsep} - {None, "/"}],
+)
+def test_export_rejects_ids_that_are_not_file_names(tmp_path, logs_file, capsys, seg_id):
+    corpus = _with_id(logs_file, tmp_path, 4, seg_id)
+    out_dir = tmp_path / "srt"
+    assert main(["export-srt", str(corpus), "--out", str(out_dir)]) == 3
+    assert "line 4, field 'id'" in capsys.readouterr().err
+    assert not (tmp_path / "escaped.srt").exists()
+    assert sorted(p.name for p in tmp_path.rglob("*.srt")) == [
+        f"seg{i:05d}.srt" for i in range(3)
+    ]
+
+
+def test_export_rejects_duplicate_ids(tmp_path, logs_file, capsys):
+    corpus = _with_id(logs_file, tmp_path, 7, "seg00001")
+    assert main(["export-srt", str(corpus), "--out", str(tmp_path / "srt")]) == 3
+    err = capsys.readouterr().err
+    assert "line 7, field 'id'" in err
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export-srt"])
+def test_non_finite_number_exits_3(tmp_path, logs_file, capsys, command):
+    lines = logs_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["duration"] = float("nan")
+    lines[2] = json.dumps(record) + "\n"
+    corpus = tmp_path / "nan.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    assert main([command, str(corpus), "--out", str(tmp_path / "out")]) == 3
+    assert "line 3: non-finite number NaN" in capsys.readouterr().err
+
+
+def test_simulate_rejects_non_finite_duration(tmp_path, capsys):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("s0\t2.0\ta b <eob>\ns1\tnan\ta b <eob>\n", encoding="utf-8")
+    assert main(["simulate", str(refs), "--out", str(tmp_path / "e.jsonl")]) == 3
+    assert "line 2, field 'duration'" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 
 import pytest
 
@@ -20,6 +21,7 @@ from livesubs import (
     write_log_corpus,
 )
 from livesubs.formats import format_srt_time
+from livesubs.latency import EmptyLogError
 
 from conftest import make_refs, simulate_corpus
 from oracles import parse_srt
@@ -204,3 +206,41 @@ def test_overlapping_cues_rejected_even_under_optimize():
             env={**os.environ, "PYTHONPATH": src},
         )
         assert "overlapping cues" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        SchemaError("missing", 3, "id"),
+        SchemaError("invalid JSON", 7, None),
+        SchemaError("no line"),
+        NonPositiveDurationError("duration must be > 0", 2, "duration"),
+        NonMonotonicTimeError("emission time decreases: 0.5 after 1.0"),
+        EmptyLogError("segment s: no word events"),
+    ],
+)
+def test_stream_errors_survive_pickling(exc):
+    # errors raised in a worker process reach the parent pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert (back.message, back.line, back.field) == (exc.message, exc.line, exc.field)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["duration", "t"])
+def test_log_corpus_rejects_non_finite_numbers(constant, where):
+    record = json.dumps(
+        {"id": "s1", "duration": 4.2, "k": 3, "step": 0.28,
+         "events": [{"t": 1.0, "w": "Hello"}, {"t": 1.5, "w": "<eob>"}]}
+    )
+    bad = record.replace("4.2" if where == "duration" else "1.5", constant)
+    with pytest.raises(SchemaError, match=f"line 5: non-finite number {constant}"):
+        list(read_log_corpus([record, "", bad], start=3))
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "NaN", "Infinity"])
+def test_refs_reject_non_finite_duration(duration):
+    with pytest.raises(SchemaError, match="line 2, field 'duration'") as info:
+        list(read_annotated_refs(["s0\t2.0\ta b <eob>\n", f"s1\t{duration}\ta b <eob>\n"]))
+    assert info.value.field == "duration"
