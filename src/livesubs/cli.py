@@ -30,13 +30,13 @@ from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
-from .core import StreamError, extract_blocks, extract_lines
-from .display import DisplayMode, close_schedule, schedule_block_mode
+from .core import StreamError
+from .display import MAX_ROW_CHARS, DisplayMode
 from .formats import SchemaError, export_srt, read_log_corpus, write_log_corpus
 from .formats import read_annotated_refs
-from .latency import average_lagging, display_delay
-from .reading_speed import rs_stats
-from .report import MODES, aggregate_segments, evaluate_log, render_table, write_report
+from .reading_speed import MAX_CPL, MIN_CPL, RS_THRESHOLD_CPS, rs_stats
+from .report import MODE_ORDER, aggregate_segments, evaluate_log, render_table
+from .report import screen_schedule, write_report
 from .waitk import WaitKConfig, simulate_waitk
 
 EXIT_OK = 0
@@ -74,6 +74,7 @@ def _checked(convert, ok, what: str):
 
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+_AT_LEAST_ZERO = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _NON_NEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 
@@ -98,10 +99,8 @@ def _add_policy(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rs-threshold", type=float, default=21.0)
-    parser.add_argument("--cpl-min", type=int, default=6)
-    parser.add_argument("--cpl-max", type=int, default=42)
-    parser.add_argument("--max-row-chars", type=_AT_LEAST_ONE, default=84)
+    parser.add_argument("--rs-threshold", type=_POSITIVE, default=RS_THRESHOLD_CPS)
+    parser.add_argument("--max-row-chars", type=_AT_LEAST_ONE, default=MAX_ROW_CHARS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("logs", help="emission-log corpus file")
     p.add_argument("--mode", choices=[*_MODES, "all"], default="all")
     _add_metric_flags(p)
+    p.add_argument("--cpl-min", type=_AT_LEAST_ZERO, default=MIN_CPL)
+    p.add_argument("--cpl-max", type=_AT_LEAST_ONE, default=MAX_CPL)
     p.add_argument("--per-segment", action="store_true", help="include per-segment breakdown")
     _add_jobs(p)
     _add_common(p)
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment", required=True, help="segment id to replay")
     p.add_argument("--mode", choices=list(_MODES), default="line")
     p.add_argument(
-        "--speed", type=float, default=1.0,
+        "--speed", type=_checked(float, lambda v: v >= 0, ">= 0"), default=1.0,
         help="playback speed factor; 0 dumps all frames immediately",
     )
     _add_metric_flags(p)
@@ -220,17 +221,8 @@ def cmd_evaluate(args) -> int:
     if report.n_segments == 0:
         print("error: empty corpus", file=sys.stderr)
         return EXIT_SCHEMA
-    table = render_table(report)
-    if args.mode != "all":
-        wanted = _MODES[args.mode]
-        table = "\n".join(
-            row
-            for row in table.splitlines()
-            if not any(
-                row.startswith(m.value) for m in DisplayMode if m is not wanted
-            )
-        ) + "\n"
-    sys.stdout.write(table)
+    modes = MODE_ORDER if args.mode == "all" else (_MODES[args.mode],)
+    sys.stdout.write(render_table(report, modes))
     if args.out is not None:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -247,11 +239,8 @@ def cmd_replay(args) -> int:
         print(f"error: unknown segment id {args.segment!r}", file=sys.stderr)
         return EXIT_SCHEMA
     mode = _MODES[args.mode]
-    spec = MODES[mode]
-    units = spec.units(log, extract_lines(log.events), args.max_row_chars)
-    schedule = close_schedule(spec.schedule(units), log.end_time + log.delay_k)
     prev_onset = None
-    for state in schedule.states:
+    for state in screen_schedule(log, mode, args.max_row_chars).states:
         if args.speed > 0 and prev_onset is not None:
             time.sleep((state.onset - prev_onset) / args.speed)
         prev_onset = state.onset
@@ -259,12 +248,11 @@ def cmd_replay(args) -> int:
         for row in state.rows:
             print(f"  | {row}")
     # metric summary for the replayed segment
-    al = average_lagging(log)
-    delay = display_delay(schedule, log, al)
-    stats = rs_stats(spec.rs(units, log.delay_k, log.segment_id), args.rs_threshold)
+    metrics = evaluate_log(log, max_row_chars=args.max_row_chars)
+    stats = rs_stats(metrics.rs_samples[mode], args.rs_threshold)
     print()
     print(f"segment {log.segment_id} ({mode.value} mode)")
-    print(f"  AL: {al:.0f} ms   delay: {delay:.0f} ms")
+    print(f"  AL: {metrics.average_lagging:.0f} ms   delay: {metrics.delay_by_mode[mode]:.0f} ms")
     if stats is not None:
         print(
             f"  rs: {stats.mean:.1f} ± {stats.std_dev:.1f} cps   "
@@ -274,18 +262,14 @@ def cmd_replay(args) -> int:
 
 
 def _render_srt_chunk(chunk) -> list[tuple[int, str, bytes, bool]]:
-    """(line number, segment id, SRT file contents, no blocks) per record."""
+    """(line number, segment id, SRT file contents, no cues) per record."""
     start, lines = chunk
-    # read_log_corpus yields one log per non-blank line, in order
-    numbers = (n for n, line in enumerate(lines, start) if line.strip())
     rendered = []
-    for lineno, log in zip(numbers, read_log_corpus(lines, start=start)):
-        blocks = extract_blocks(log.events)
-        schedule = close_schedule(
-            schedule_block_mode(blocks), log.end_time + log.delay_k
-        )
-        srt = export_srt(schedule).encode("utf-8")
-        rendered.append((lineno, log.segment_id, srt, not blocks))
+    for lineno, line in enumerate(lines, start):
+        for log in read_log_corpus((line,), start=lineno):
+            schedule = screen_schedule(log, DisplayMode.BLOCKS)
+            srt = export_srt(schedule).encode("utf-8")
+            rendered.append((lineno, log.segment_id, srt, not schedule.states))
     return rendered
 
 

@@ -39,7 +39,10 @@ _WHITESPACE = re.compile(r"\s")  # the characters str.isspace() accepts
 
 class StreamError(ValueError):
     """Malformed token stream. ``line`` and ``field``, when known, locate the
-    bad record in its file."""
+    bad record in its file; the text then starts with them."""
+
+    # What the text names instead of the line when it is unknown.
+    _unlocated = ""
 
     def __init__(self, message: str, line: int | None = None, field: str | None = None):
         super().__init__(self._text(message, line, field))
@@ -47,9 +50,13 @@ class StreamError(ValueError):
         self.line = line
         self.field = field
 
-    @staticmethod
-    def _text(message: str, line: int | None, field: str | None) -> str:
-        return message
+    def _text(self, message: str, line: int | None, field: str | None) -> str:
+        where = f"line {line}" if line is not None else self._unlocated
+        if not where:
+            return message
+        if field is not None:
+            where += f", field {field!r}"
+        return f"{where}: {message}"
 
     def __reduce__(self):
         # Rebuild from the parts, not from the composed text, so the error

@@ -2,15 +2,16 @@
 
 Each scheduler turns timed subtitle units into a time-ordered sequence of
 screen states (what rows are visible, from when to when) plus the first time
-each word becomes visible. The final state of a segment is open-ended
-(``offset=None``) until closed for rendering or export.
+each word becomes visible, by SHOWN_AT's rule for the mode. The final state
+of a segment is open-ended (``offset=None``) until closed for rendering or
+export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .core import SubtitleBlock, SubtitleLine, TokenEvent
 
@@ -20,6 +21,7 @@ __all__ = [
     "DisplaySchedule",
     "WordBlock",
     "MAX_ROW_CHARS",
+    "SHOWN_AT",
     "group_word_blocks",
     "schedule_word_mode",
     "schedule_block_mode",
@@ -104,6 +106,25 @@ def group_word_blocks(
     return tuple(blocks)
 
 
+# When a word is first on screen, per mode: shown(unit, word) for a word of
+# one of the mode's units (word-for-word group, block or line).
+SHOWN_AT: dict[DisplayMode, Callable[[Any, TokenEvent], float]] = {
+    DisplayMode.WORD_FOR_WORD: lambda group, word: word.emit_time,
+    DisplayMode.BLOCKS: lambda block, word: block.block_time,
+    DisplayMode.SCROLLING_LINES: lambda line, word: line.break_time,
+}
+
+
+def _schedule(
+    mode: DisplayMode, states: list[ScreenState], units: Sequence[Any]
+) -> DisplaySchedule:
+    """The mode's schedule of states; the words of units, numbered in
+    emission order, are first shown at SHOWN_AT[mode]."""
+    shown = SHOWN_AT[mode]
+    times = dict(enumerate(shown(u, w) for u in units for w in u.words))
+    return DisplaySchedule(mode, tuple(states), times)
+
+
 def _append_state(
     states: list[ScreenState], rows: tuple[str, ...], onset: float, offset: float | None
 ) -> None:
@@ -120,8 +141,6 @@ def schedule_word_mode(
     """Word-for-word display: each word appears when emitted; the row is
     cleared when the next block's first word is emitted (or at segment end)."""
     states: list[ScreenState] = []
-    display_times: dict[int, float] = {}
-    word_index = 0
     for b, block in enumerate(blocks):
         if b + 1 < len(blocks):
             block_end: float | None = blocks[b + 1].words[0].emit_time
@@ -129,31 +148,24 @@ def schedule_word_mode(
             block_end = eos_time
         row = ""
         for i, w in enumerate(block.words):
-            display_times[word_index] = w.emit_time
-            word_index += 1
             row = w.surface if not row else row + " " + w.surface
             if i + 1 < len(block.words):
                 offset: float | None = block.words[i + 1].emit_time
             else:
                 offset = block_end
             _append_state(states, (row,), w.emit_time, offset)
-    return DisplaySchedule(DisplayMode.WORD_FOR_WORD, tuple(states), display_times)
+    return _schedule(DisplayMode.WORD_FOR_WORD, states, blocks)
 
 
 def schedule_block_mode(blocks: Sequence[SubtitleBlock]) -> DisplaySchedule:
     """Block display: a block becomes visible when completed and stays until
     the next block is completed."""
     states: list[ScreenState] = []
-    display_times: dict[int, float] = {}
-    word_index = 0
     for b, block in enumerate(blocks):
-        for _ in block.words:
-            display_times[word_index] = block.block_time
-            word_index += 1
         offset = blocks[b + 1].block_time if b + 1 < len(blocks) else None
         rows = tuple(line.text for line in block.lines)
         _append_state(states, rows, block.block_time, offset)
-    return DisplaySchedule(DisplayMode.BLOCKS, tuple(states), display_times)
+    return _schedule(DisplayMode.BLOCKS, states, blocks)
 
 
 def schedule_line_mode(lines: Sequence[SubtitleLine]) -> DisplaySchedule:
@@ -161,19 +173,14 @@ def schedule_line_mode(lines: Sequence[SubtitleLine]) -> DisplaySchedule:
     to the upper row when the next line arrives, and disappears after two
     later lines have appeared."""
     states: list[ScreenState] = []
-    display_times: dict[int, float] = {}
-    word_index = 0
     for l, line in enumerate(lines):
-        for _ in line.words:
-            display_times[word_index] = line.break_time
-            word_index += 1
         if l == 0:
             rows: tuple[str, ...] = (line.text,)
         else:
             rows = (lines[l - 1].text, line.text)
         offset = lines[l + 1].break_time if l + 1 < len(lines) else None
         _append_state(states, rows, line.break_time, offset)
-    return DisplaySchedule(DisplayMode.SCROLLING_LINES, tuple(states), display_times)
+    return _schedule(DisplayMode.SCROLLING_LINES, states, lines)
 
 
 def close_schedule(schedule: DisplaySchedule, end_time: float) -> DisplaySchedule:

@@ -42,16 +42,18 @@ __all__ = [
 class SchemaError(StreamError):
     """A corpus record does not match the interchange schema."""
 
-    @staticmethod
-    def _text(message: str, line: int | None, field: str | None) -> str:
-        where = f"line {line}" if line is not None else "record"
-        if field is not None:
-            where += f", field {field!r}"
-        return f"{where}: {message}"
+    _unlocated = "record"
 
 
 class NonPositiveDurationError(SchemaError):
     pass
+
+
+def _is_number(value) -> bool:
+    # type() first: nearly every value is a float, and then no isinstance runs.
+    return type(value) is float or (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+    )
 
 
 def _require(record: dict, field: str, types: tuple[type, ...], line: int | None):
@@ -76,11 +78,24 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
     for j, ev in enumerate(raw_events):
         if not isinstance(ev, dict) or "t" not in ev or "w" not in ev:
             raise SchemaError(f"event {j} needs 't' and 'w'", line, "events")
-        raw.append((ev["w"], ev["t"]))
+        w, t = ev["w"], ev["t"]
+        if not _is_number(t) or not isinstance(w, str):
+            raise SchemaError(
+                f"event {j} needs a number 't' and a string 'w', got {ev!r}", line, "events"
+            )
+        raw.append((w, t))
     g = record.get("g")
     if g is not None:
         if not isinstance(g, list) or len(g) != len(raw):
             raise SchemaError("'g' must match events in length", line, "g")
+        last = 0.0
+        for j, x in enumerate(g):
+            if not _is_number(x) or not last <= x <= duration:
+                raise SchemaError(
+                    f"entry {j} is {x!r}; entries must be numbers in "
+                    f"[0, {duration!r}] that never decrease", line, "g",
+                )
+            last = x
         g = tuple(float(x) for x in g)
     try:
         events = parse_token_stream(raw)
@@ -92,8 +107,8 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
             events=events,
             consumed_source=g,
         )
-    except NonMonotonicTimeError:
-        raise
+    except NonMonotonicTimeError as exc:
+        raise NonMonotonicTimeError(exc.message, line, "events") from exc
     except StreamError as exc:
         raise SchemaError(str(exc), line, None) from exc
 

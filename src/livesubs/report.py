@@ -4,7 +4,8 @@ evaluate_log / evaluate_corpus wire the whole pipeline together: extract the
 subtitle structure from each emission log, compute reading-speed samples and
 latency for every display mode (the MODES table says how for each mode), and
 aggregate corpus statistics (aggregate_segments, which also folds metrics
-computed elsewhere, such as in worker processes). Reports are serialized
+computed elsewhere, such as in worker processes). screen_schedule gives the
+screen states that replay and SRT export render. Reports are serialized
 both as JSON and as an aligned text table with one row per mode (reading
 speed mean +/- std, conformity percentage, display delay).
 """
@@ -19,8 +20,10 @@ from typing import Any, Callable, Iterable, Sequence
 from .core import EmissionLog, SubtitleLine, blocks_from_lines, extract_lines
 from .display import (
     MAX_ROW_CHARS,
+    SHOWN_AT,
     DisplayMode,
     DisplaySchedule,
+    close_schedule,
     group_word_blocks,
     schedule_block_mode,
     schedule_line_mode,
@@ -47,6 +50,7 @@ __all__ = [
     "SegmentMetrics",
     "CorpusReport",
     "evaluate_log",
+    "screen_schedule",
     "evaluate_corpus",
     "aggregate_segments",
     "report_to_dict",
@@ -60,12 +64,11 @@ class ModeSpec:
     """One display mode: units(log, lines, max_row_chars) cuts a segment into
     the mode's units from its lines (one segmentation pass serves all modes);
     rs(units, delay_k, segment_id) gives their reading-speed samples;
-    shown(unit, word) is when the word is first on screen; schedule(units)
-    builds the screen states that replay and SRT export render."""
+    schedule(units) builds the screen states that replay and SRT export
+    render. When a word is first on screen is display.SHOWN_AT's rule."""
 
     units: Callable[[EmissionLog, Sequence[SubtitleLine], int], Sequence[Any]]
     rs: Callable[[Sequence[Any], float, str], tuple[ReadingSpeedSample, ...]]
-    shown: Callable[[Any, Any], float]
     schedule: Callable[[Sequence[Any]], DisplaySchedule]
 
 
@@ -75,19 +78,16 @@ MODES: dict[DisplayMode, ModeSpec] = {
     DisplayMode.WORD_FOR_WORD: ModeSpec(
         units=lambda log, lines, max_row_chars: group_word_blocks(log.events, max_row_chars),
         rs=lambda units, delay_k, segment_id: rs_word_blocks(units, delay_k, segment_id),
-        shown=lambda group, word: word.emit_time,
         schedule=lambda units: schedule_word_mode(units),
     ),
     DisplayMode.BLOCKS: ModeSpec(
         units=lambda log, lines, max_row_chars: blocks_from_lines(lines),
         rs=lambda units, delay_k, segment_id: rs_blocks(units, delay_k, segment_id),
-        shown=lambda block, word: block.block_time,
         schedule=lambda units: schedule_block_mode(units),
     ),
     DisplayMode.SCROLLING_LINES: ModeSpec(
         units=lambda log, lines, max_row_chars: lines,
         rs=lambda units, delay_k, segment_id: rs_lines(units, delay_k, segment_id),
-        shown=lambda line, word: line.break_time,
         schedule=lambda units: schedule_line_mode(units),
     ),
 }
@@ -136,7 +136,7 @@ def evaluate_log(
     delays = {}
     samples = {}
     for mode, spec in MODES.items():
-        shown = spec.shown
+        shown = SHOWN_AT[mode]
         lags = [shown(u, w) - w.emit_time for u in units[mode] for w in u.words]
         delays[mode] = al + 1000.0 * fmean(lags)
         samples[mode] = spec.rs(units[mode], delay_k, log.segment_id)
@@ -149,6 +149,16 @@ def evaluate_log(
         n_blocks=len(blocks),
         n_conforming_blocks=sum(1 for b in blocks if block_conforms(b, min_cpl, max_cpl)),
     )
+
+
+def screen_schedule(
+    log: EmissionLog, mode: DisplayMode, max_row_chars: int = MAX_ROW_CHARS
+) -> DisplaySchedule:
+    """One segment's screen states in one mode, the last closed at segment
+    end plus the wait-k delay (the unknown next emission)."""
+    spec = MODES[mode]
+    units = spec.units(log, extract_lines(log.events), max_row_chars)
+    return close_schedule(spec.schedule(units), log.end_time + log.delay_k)
 
 
 def evaluate_corpus(
@@ -257,14 +267,14 @@ def report_to_dict(report: CorpusReport, per_segment: bool = False) -> dict:
     return doc
 
 
-def render_table(report: CorpusReport) -> str:
-    """Aligned text table: one row per display mode."""
+def render_table(report: CorpusReport, modes: Iterable[DisplayMode] = MODE_ORDER) -> str:
+    """Aligned text table: one row per display mode in modes."""
     header = f"{'mode':<6}  {'rs':>12}  {'<=' + format(report.rs_threshold, 'g') + 'cps':>8}  {'delay':>6}"
     rows = [header]
     if report.n_segments == 0:
         rows.append("(empty corpus)")
         return "\n".join(rows) + "\n"
-    for mode in MODE_ORDER:
+    for mode in modes:
         stats = report.rs_by_mode.get(mode)
         delay = report.delay_by_mode.get(mode)
         if stats is None:

@@ -130,6 +130,34 @@ def naive_delay_ms(
     return al_ms + 1000.0 * sum(lags) / len(lags)
 
 
+def naive_display_times(tokens: list[tuple[str, float]], mode: str) -> list[float]:
+    """First time each word, in order, is on screen. word: when emitted.
+    line: at the next <eol> or <eob>. block: at the next <eob>. A word with
+    no such break after it is in the trailing unit: a line closes at the
+    last token; a block when its last line closes, which is the last <eol>
+    unless a word follows it."""
+    symbols = ("<eol>", "<eob>", "<eos>")
+    closing = {"word": (), "line": ("<eol>", "<eob>"), "block": ("<eob>",)}[mode]
+    last_break = max(
+        (j for j, (s, _) in enumerate(tokens) if s in ("<eol>", "<eob>")), default=-1
+    )
+    words_after_last_break = any(s not in symbols for s, _ in tokens[last_break + 1:])
+    times = []
+    for i, (surface, t) in enumerate(tokens):
+        if surface in symbols:
+            continue
+        later = [u for s, u in tokens[i + 1:] if s in closing]
+        if mode == "word":
+            times.append(t)
+        elif later:
+            times.append(later[0])
+        elif mode == "line" or words_after_last_break:
+            times.append(tokens[-1][1])
+        else:
+            times.append(tokens[last_break][1])
+    return times
+
+
 def parse_srt(text: str) -> list[tuple[float, float, tuple[str, ...]]]:
     """Plain SRT reader: (start, end, rows) per cue."""
 

@@ -155,6 +155,14 @@ def test_replay_stops_at_first_match(tmp_path, logs_file):
         ["evaluate", "x.jsonl", "--cpl-min", "50", "--cpl-max", "10"],
         ["replay", "x.jsonl", "--segment", "s", "--cpl-min", "50", "--cpl-max", "10"],
         ["evaluate", "x.jsonl", "--max-row-chars", "0"],
+        ["evaluate", "x.jsonl", "--rs-threshold", "nan"],
+        ["evaluate", "x.jsonl", "--rs-threshold", "inf"],
+        ["evaluate", "x.jsonl", "--rs-threshold", "0"],
+        ["replay", "x.jsonl", "--segment", "s", "--rs-threshold", "-21"],
+        ["evaluate", "x.jsonl", "--cpl-min", "-5", "--cpl-max", "-1"],
+        ["evaluate", "x.jsonl", "--cpl-min", "0", "--cpl-max", "0"],
+        ["replay", "x.jsonl", "--segment", "s", "--speed", "-1"],
+        ["replay", "x.jsonl", "--segment", "s", "--speed", "nan"],
     ],
 )
 def test_invalid_arguments_exit_2(argv, capsys):
@@ -221,3 +229,42 @@ def test_simulate_rejects_non_finite_duration(tmp_path, capsys):
     refs.write_text("s0\t2.0\ta b <eob>\ns1\tnan\ta b <eob>\n", encoding="utf-8")
     assert main(["simulate", str(refs), "--out", str(tmp_path / "e.jsonl")]) == 3
     assert "line 2, field 'duration'" in capsys.readouterr().err
+
+
+def _set(path, value):
+    """An edit of a record: set the item at path to value, or to value(record)."""
+
+    def edit(record):
+        *parents, last = path
+        target = record
+        for key in parents:
+            target = target[key]
+        target[last] = value(record) if callable(value) else value
+        return record
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set(("events", 0, "t"), "1"), "events"),
+        (_set(("events", 1, "t"), True), "events"),
+        (_set(("events", 0, "w"), 5), "events"),
+        (_set(("events", 2, "t"), 0.0), "events"),
+        (_set(("g", 0), "x"), "g"),
+        (_set(("g", 0), -0.5), "g"),
+        (_set(("g", 1), 0.1), "g"),
+        (_set(("g", -1), lambda r: r["duration"] + 5.0), "g"),
+    ],
+    ids=["t-string", "t-bool", "w-number", "t-decreasing", "g-string", "g-negative",
+         "g-decreasing", "g-past-duration"],
+)
+@pytest.mark.parametrize("command", ["evaluate", "export-srt"])
+def test_mistyped_or_inconsistent_fields_exit_3(tmp_path, logs_file, capsys, command, edit, field):
+    lines = logs_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[4] = json.dumps(edit(json.loads(lines[4]))) + "\n"
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    assert main([command, str(corpus), "--jobs", "1", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: line 5, field {field!r}: ")

@@ -244,3 +244,17 @@ def test_refs_reject_non_finite_duration(duration):
     with pytest.raises(SchemaError, match="line 2, field 'duration'") as info:
         list(read_annotated_refs(["s0\t2.0\ta b <eob>\n", f"s1\t{duration}\ta b <eob>\n"]))
     assert info.value.field == "duration"
+
+
+def test_decreasing_time_names_its_line():
+    good = json.dumps({"id": "s0", "duration": 1.0, "k": 1, "step": 0.28, "events": []})
+    bad = json.dumps(
+        {"id": "s1", "duration": 4.2, "k": 3, "step": 0.28,
+         "events": [{"t": 1.0, "w": "a"}, {"t": 0.5, "w": "b"}]}
+    )
+    with pytest.raises(NonMonotonicTimeError) as info:
+        list(read_log_corpus([good, bad], start=4))
+    exc = info.value
+    assert str(exc) == "line 5, field 'events': emission time decreases: 0.5 after 1.0"
+    assert (exc.line, exc.field) == (5, "events")
+    assert str(pickle.loads(pickle.dumps(exc))) == str(exc)

@@ -29,10 +29,10 @@ from livesubs import (
     schedule_line_mode,
     schedule_word_mode,
 )
-from livesubs.report import MODE_ORDER, MODES
+from livesubs.report import MODE_ORDER, MODES, screen_schedule
 
 from conftest import make_refs, simulate_corpus
-from oracles import naive_blocks
+from oracles import naive_blocks, naive_delay_ms, naive_display_times
 
 LONG = "x" * 90  # longer than an 84-character row
 
@@ -149,3 +149,30 @@ def test_evaluate_builds_no_schedule(monkeypatch):
         monkeypatch.setattr(report, name, forbidden)
     result = evaluate_corpus(simulate_corpus(make_refs(20, seed=3), k=3))
     assert result.n_segments == 20
+
+
+def check_display_times(raw, max_row_chars=84):
+    """Schedules' word_display_times and evaluate_log's delays against a
+    token walk of when each word is first shown (display.SHOWN_AT)."""
+    log = EmissionLog("seg", 5.0, 3, events=parse_token_stream(raw))
+    emitted = [w.emit_time for w in log.words]
+    metrics = evaluate_log(log, max_row_chars=max_row_chars) if emitted else None
+    for mode in DisplayMode:
+        times = naive_display_times(raw, mode.value)
+        schedule = screen_schedule(log, mode, max_row_chars)
+        assert schedule.word_display_times == dict(enumerate(times))
+        if metrics is not None:
+            assert metrics.delay_by_mode[mode] == pytest.approx(
+                naive_delay_ms(emitted, times, metrics.average_lagging), abs=1e-6
+            )
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_adversarial_display_times_match_token_walk(name):
+    check_display_times(ADVERSARIAL[name])
+    check_display_times(ADVERSARIAL[name], max_row_chars=10)
+
+
+@given(streams(), st.sampled_from([10, 84]))
+def test_display_times_equal_token_walk(raw, max_row_chars):
+    check_display_times(raw, max_row_chars)

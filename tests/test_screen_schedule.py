@@ -1,0 +1,95 @@
+"""replay and export-srt take their screens from report.screen_schedule, and
+replay takes its summary from evaluate_log. These tests pin both commands to
+the evaluate report and to the schedule path they used before (extractor,
+scheduler, close at segment end plus the wait-k delay)."""
+
+import json
+
+import pytest
+
+from livesubs import (
+    DisplayMode,
+    close_schedule,
+    export_srt,
+    extract_blocks,
+    extract_lines,
+    group_word_blocks,
+    read_log_corpus,
+    schedule_block_mode,
+    schedule_line_mode,
+    schedule_word_mode,
+    write_annotated_refs,
+)
+from livesubs.cli import main
+from livesubs.report import screen_schedule
+
+from conftest import make_refs
+
+MODES = ("word", "block", "line")
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("screens")
+    refs = tmp / "refs.tsv"
+    with open(refs, "w", encoding="utf-8") as f:
+        # half the segments end in a burst of equal emission times
+        write_annotated_refs(make_refs(24, seed=5, flush_fraction=0.5), f)
+    logs = tmp / "emissions.jsonl"
+    assert main(["simulate", str(refs), "--out", str(logs)]) == 0
+    return logs
+
+
+@pytest.fixture(scope="module")
+def logs(corpus):
+    with open(corpus, encoding="utf-8") as f:
+        return list(read_log_corpus(f))
+
+
+def old_schedule(log, mode, max_row_chars):
+    if mode is DisplayMode.WORD_FOR_WORD:
+        schedule = schedule_word_mode(group_word_blocks(log.events, max_row_chars))
+    elif mode is DisplayMode.BLOCKS:
+        schedule = schedule_block_mode(extract_blocks(log.events))
+    else:
+        schedule = schedule_line_mode(extract_lines(log.events))
+    return close_schedule(schedule, log.end_time + log.delay_k)
+
+
+@pytest.mark.parametrize("max_row_chars", [20, 84])
+@pytest.mark.parametrize("mode", list(DisplayMode))
+def test_screen_schedule_equals_schedule_path(logs, mode, max_row_chars):
+    for log in logs:
+        assert screen_schedule(log, mode, max_row_chars) == old_schedule(log, mode, max_row_chars)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_replay_summary_equals_per_segment_report(corpus, tmp_path, capsys, mode):
+    report = tmp_path / "report.json"
+    assert main(["evaluate", str(corpus), "--per-segment", "--out", str(report)]) == 0
+    capsys.readouterr()
+    for entry in json.loads(report.read_text(encoding="utf-8"))["per_segment"]:
+        argv = ["replay", str(corpus), "--segment", entry["id"], "--mode", mode, "--speed", "0"]
+        assert main(argv) == 0
+        summary = f"  AL: {entry['al_ms']:.0f} ms   delay: {entry['delay_ms'][mode]:.0f} ms"
+        assert summary in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluate_mode_keeps_only_its_row(corpus, capsys, mode):
+    assert main(["evaluate", str(corpus)]) == 0
+    full = capsys.readouterr().out
+    assert main(["evaluate", str(corpus), "--mode", mode]) == 0
+    others = set(MODES) - {mode}
+    assert capsys.readouterr().out == "".join(
+        row for row in full.splitlines(keepends=True) if row.split(" ", 1)[0] not in others
+    )
+
+
+def test_srt_files_equal_the_block_schedule_path(corpus, logs, tmp_path):
+    out = tmp_path / "srt"
+    assert main(["export-srt", str(corpus), "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == len(logs)
+    for log in logs:
+        expected = export_srt(old_schedule(log, DisplayMode.BLOCKS, 84))
+        assert (out / f"{log.segment_id}.srt").read_bytes() == expected.encode("utf-8")
