@@ -59,6 +59,7 @@ from .reading_speed import (
 )
 from .report import (
     CorpusReport,
+    CorpusTally,
     SegmentMetrics,
     evaluate_corpus,
     evaluate_log,

@@ -14,8 +14,13 @@ Exit codes: 0 success, 2 argument errors, 3 schema/data errors, 4 I/O errors.
 
 evaluate and export-srt read the corpus in fixed runs of lines and hand
 each run to a pool of --jobs worker processes that parse it and do the
-work; results come back, and are written, in file order, so the output does
-not depend on the job count.
+work; results come back, and are merged or written, in file order, so the
+output does not depend on the job count. An evaluate worker sends back one
+CorpusTally per run (floats, counts and ids), an export-srt worker the
+rendered SRT files.
+
+Input files must be UTF-8 text: an undecodable byte, or a lone surrogate
+escaped in a record's id or words, is a data error that names its line.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
-from .core import StreamError
+from .core import StreamError, finite_delay_k
 from .display import MAX_ROW_CHARS, DisplayMode
 from .formats import SchemaError, export_srt, read_log_corpus, write_log_corpus
 from .formats import read_annotated_refs
+from .latency import EmptyLogError
 from .reading_speed import MAX_CPL, MIN_CPL, RS_THRESHOLD_CPS, rs_stats
-from .report import MODE_ORDER, aggregate_segments, evaluate_log, render_table
+from .report import MODE_ORDER, CorpusTally, evaluate_log, render_table
 from .report import screen_schedule, write_report
 from .waitk import WaitKConfig, simulate_waitk
 
@@ -48,6 +54,12 @@ _MODES = {m.value: m for m in DisplayMode}
 
 # Corpus lines per unit of work handed to a worker process.
 CHUNK_LINES = 256
+
+
+def _open_text(path: str):
+    """A UTF-8 input file. An undecodable byte is read as a lone surrogate
+    (surrogateescape), which the record checks reject with its line."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
 def _out_dir(args) -> Path:
@@ -161,7 +173,7 @@ def _map_chunks(fn, path: str, jobs: int):
     neither the corpus nor the results pile up in memory. An exception fn
     raises is raised here, in file order.
     """
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         chunks = _chunks(f)
         head = list(islice(chunks, 2))
         if jobs == 1 or len(head) < 2:
@@ -190,7 +202,7 @@ def cmd_simulate(args) -> int:
         compute_latency=args.latency_ms / 1000.0,
         flush_at_end=not args.no_flush,
     )
-    with open(args.refs, encoding="utf-8") as f:
+    with _open_text(args.refs) as f:
         logs = [simulate_waitk(ref, cfg) for ref in read_annotated_refs(f)]
     out = _out_dir(args)
     out_path = out if args.out and not out.is_dir() else out / "emissions.jsonl"
@@ -201,23 +213,39 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk) -> list:
-    start, lines = chunk
-    return [
-        evaluate_log(log, min_cpl, max_cpl, max_row_chars)
-        for log in read_log_corpus(lines, start=start)
-    ]
+def _numbered_logs(start: int, lines):
+    """(line number, log) for each record in lines, the first of which is
+    line start of its file."""
+    for lineno, line in enumerate(lines, start):
+        for log in read_log_corpus((line,), start=lineno):
+            yield lineno, log
+
+
+def _evaluate_at(lineno: int, log, *args, **kwargs):
+    """evaluate_log(log, ...), naming the record's line when the log has no
+    word to measure."""
+    try:
+        return evaluate_log(log, *args, **kwargs)
+    except EmptyLogError as exc:
+        raise EmptyLogError(exc.message, lineno, "events") from None
+
+
+def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, keep_ids: bool, chunk):
+    """One run of corpus lines folded into a CorpusTally."""
+    tally = CorpusTally(keep_ids)
+    for lineno, log in _numbered_logs(*chunk):
+        tally.add(_evaluate_at(lineno, log, min_cpl, max_cpl, max_row_chars))
+    return tally
 
 
 def cmd_evaluate(args) -> int:
-    work = partial(_evaluate_chunk, args.cpl_min, args.cpl_max, args.max_row_chars)
-    report = aggregate_segments(
-        chain.from_iterable(_map_chunks(work, args.logs, args.jobs)),
-        rs_threshold=args.rs_threshold,
-        min_cpl=args.cpl_min,
-        max_cpl=args.cpl_max,
-        keep_segments=args.per_segment,
+    work = partial(
+        _evaluate_chunk, args.cpl_min, args.cpl_max, args.max_row_chars, args.per_segment
     )
+    tally = CorpusTally(args.per_segment)
+    for run in _map_chunks(work, args.logs, args.jobs):
+        tally.merge(run)
+    report = tally.report(args.rs_threshold, args.cpl_min, args.cpl_max)
     if report.n_segments == 0:
         print("error: empty corpus", file=sys.stderr)
         return EXIT_SCHEMA
@@ -233,11 +261,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_replay(args) -> int:
     # Stream the corpus and stop at the first match: later records are not read.
-    with open(args.logs, encoding="utf-8") as f:
-        log = next((x for x in read_log_corpus(f) if x.segment_id == args.segment), None)
-    if log is None:
+    with _open_text(args.logs) as f:
+        found = next(((n, x) for n, x in _numbered_logs(1, f) if x.segment_id == args.segment), None)
+    if found is None:
         print(f"error: unknown segment id {args.segment!r}", file=sys.stderr)
         return EXIT_SCHEMA
+    lineno, log = found
     mode = _MODES[args.mode]
     prev_onset = None
     for state in screen_schedule(log, mode, args.max_row_chars).states:
@@ -248,7 +277,7 @@ def cmd_replay(args) -> int:
         for row in state.rows:
             print(f"  | {row}")
     # metric summary for the replayed segment
-    metrics = evaluate_log(log, max_row_chars=args.max_row_chars)
+    metrics = _evaluate_at(lineno, log, max_row_chars=args.max_row_chars)
     stats = rs_stats(metrics.rs_samples[mode], args.rs_threshold)
     print()
     print(f"segment {log.segment_id} ({mode.value} mode)")
@@ -263,13 +292,11 @@ def cmd_replay(args) -> int:
 
 def _render_srt_chunk(chunk) -> list[tuple[int, str, bytes, bool]]:
     """(line number, segment id, SRT file contents, no cues) per record."""
-    start, lines = chunk
     rendered = []
-    for lineno, line in enumerate(lines, start):
-        for log in read_log_corpus((line,), start=lineno):
-            schedule = screen_schedule(log, DisplayMode.BLOCKS)
-            srt = export_srt(schedule).encode("utf-8")
-            rendered.append((lineno, log.segment_id, srt, not schedule.states))
+    for lineno, log in _numbered_logs(*chunk):
+        schedule = screen_schedule(log, DisplayMode.BLOCKS)
+        srt = export_srt(schedule).encode("utf-8")
+        rendered.append((lineno, log.segment_id, srt, not schedule.states))
     return rendered
 
 
@@ -330,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "cpl_min") and args.cpl_min > args.cpl_max:
         parser.error(f"--cpl-min {args.cpl_min} is greater than --cpl-max {args.cpl_max}")
+    if args.command == "simulate" and not finite_delay_k(args.k, args.step_ms / 1000.0):
+        parser.error("--k times --step-ms must be a finite number of seconds")
     try:
         return _COMMANDS[args.command](args)
     except StreamError as exc:

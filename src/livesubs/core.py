@@ -8,6 +8,7 @@ from the start of the source audio.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -188,6 +189,14 @@ def delay_k_seconds(wait_k: int, step_size: float = 0.280) -> float:
     if step_size <= 0:
         raise ValueError(f"step_size must be > 0, got {step_size}")
     return step_size * wait_k
+
+
+def finite_delay_k(wait_k: int, step_size: float) -> bool:
+    """Whether the wait-k delay step_size * wait_k is a finite float."""
+    try:
+        return math.isfinite(step_size * wait_k)
+    except OverflowError:  # wait_k is too large to be a float
+        return False
 
 
 @dataclass(frozen=True)

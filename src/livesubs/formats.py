@@ -21,6 +21,7 @@ from .core import (
     EmissionLog,
     NonMonotonicTimeError,
     StreamError,
+    finite_delay_k,
     parse_token_stream,
 )
 from .display import DisplayMode, DisplaySchedule
@@ -56,6 +57,17 @@ def _is_number(value) -> bool:
     )
 
 
+def _utf8(text: str) -> bool:
+    """Whether text can be written as UTF-8: it holds no lone surrogate,
+    neither one escaped in the JSON nor an undecodable input byte read as
+    one (surrogateescape)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _require(record: dict, field: str, types: tuple[type, ...], line: int | None):
     if field not in record:
         raise SchemaError("missing", line, field)
@@ -68,11 +80,15 @@ def _require(record: dict, field: str, types: tuple[type, ...], line: int | None
 def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
     """Build an EmissionLog from one parsed interchange record."""
     seg_id = _require(record, "id", (str,), line)
+    if not seg_id.isascii() and not _utf8(seg_id):
+        raise SchemaError(f"not UTF-8 text: {seg_id!r}", line, "id")
     duration = _require(record, "duration", (int, float), line)
     if duration <= 0:
         raise NonPositiveDurationError("duration must be > 0", line, "duration")
     k = _require(record, "k", (int,), line)
     step = _require(record, "step", (int, float), line)
+    if not finite_delay_k(k, step):
+        raise SchemaError("step * k must be a finite number of seconds", line, "k")
     raw_events = _require(record, "events", (list,), line)
     raw: list[tuple[str, float]] = []
     for j, ev in enumerate(raw_events):
@@ -83,6 +99,8 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
             raise SchemaError(
                 f"event {j} needs a number 't' and a string 'w', got {ev!r}", line, "events"
             )
+        if not w.isascii() and not _utf8(w):
+            raise SchemaError(f"event {j}: 'w' is not UTF-8 text: {w!r}", line, "events")
         raw.append((w, t))
     g = record.get("g")
     if g is not None:
@@ -154,9 +172,15 @@ def read_log_corpus(source: Iterable[str], start: int = 1) -> Iterator[EmissionL
             raise SchemaError(f"invalid JSON: {exc}", lineno, None) from exc
         except _NonFiniteNumber as exc:
             raise SchemaError(f"non-finite number {exc}", lineno, None) from None
+        except ValueError as exc:  # an integer of more digits than int() reads
+            raise SchemaError(f"unreadable number: {exc}", lineno, None) from None
         if not isinstance(record, dict):
             raise SchemaError("record is not an object", lineno, None)
-        yield log_from_record(record, lineno)
+        log = log_from_record(record, lineno)
+        # An undecodable byte outside the id and the words, which name their field.
+        if not line.isascii() and not _utf8(line):
+            raise SchemaError("not UTF-8 text", lineno, None)
+        yield log
 
 
 def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
@@ -180,6 +204,8 @@ def read_annotated_refs(source: Iterable[str]):
                 f"expected 3 tab-separated fields, got {len(parts)}", lineno, None
             )
         seg_id, dur_text, token_text = parts
+        if not _utf8(seg_id):
+            raise SchemaError(f"not UTF-8 text: {seg_id!r}", lineno, "id")
         try:
             duration = float(dur_text)
         except ValueError as exc:
@@ -188,6 +214,8 @@ def read_annotated_refs(source: Iterable[str]):
             raise SchemaError(f"non-finite duration {dur_text!r}", lineno, "duration")
         if duration <= 0:
             raise NonPositiveDurationError("duration must be > 0", lineno, "duration")
+        if not _utf8(token_text):
+            raise SchemaError(f"not UTF-8 text: {token_text!r}", lineno, "tokens")
         tokens = tuple(token_text.split())
         if not tokens:
             raise SchemaError("no tokens", lineno, "tokens")

@@ -30,6 +30,7 @@ __all__ = [
     "rs_blocks",
     "rs_lines",
     "rs_stats",
+    "cps_stats",
     "block_conforms",
     "length_conformity",
     "RS_THRESHOLD_CPS",
@@ -55,12 +56,6 @@ class ReadingSpeedSample:
     unit_id: tuple[str, int]
     cps: float
     mode: DisplayMode
-
-    def __reduce__(self):
-        # Samples cross from worker processes in bulk; the constructor call
-        # pickles and unpickles in half the time of the generated
-        # __getstate__/__setstate__ of a frozen slots dataclass.
-        return ReadingSpeedSample, (self.unit_id, self.cps, self.mode)
 
 
 @dataclass(frozen=True)
@@ -186,7 +181,14 @@ def rs_stats(
     count (as non-conforming) in the percentage. Returns None when there is
     no finite sample to describe.
     """
-    values = [s.cps for s in samples]
+    return cps_stats([s.cps for s in samples], threshold)
+
+
+def cps_stats(
+    values: Sequence[float], threshold: float = RS_THRESHOLD_CPS
+) -> ReadingSpeedStats | None:
+    """rs_stats of the samples' speeds alone, in cps: the form in which a
+    corpus pools them."""
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
         return None

@@ -3,17 +3,20 @@
 evaluate_log / evaluate_corpus wire the whole pipeline together: extract the
 subtitle structure from each emission log, compute reading-speed samples and
 latency for every display mode (the MODES table says how for each mode), and
-aggregate corpus statistics (aggregate_segments, which also folds metrics
-computed elsewhere, such as in worker processes). screen_schedule gives the
-screen states that replay and SRT export render. Reports are serialized
-both as JSON and as an aligned text table with one row per mode (reading
-speed mean +/- std, conformity percentage, display delay).
+aggregate corpus statistics in a CorpusTally: the tallies of consecutive
+runs of a corpus, folded anywhere (in worker processes, say), merge into the
+tally of the whole. screen_schedule gives the screen states that replay and
+SRT export render. Reports are serialized both as JSON and as an aligned
+text table with one row per mode (reading speed mean +/- std, conformity
+percentage, display delay).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from statistics import fmean
 from typing import Any, Callable, Iterable, Sequence
 
@@ -37,9 +40,9 @@ from .reading_speed import (
     ReadingSpeedSample,
     ReadingSpeedStats,
     block_conforms,
+    cps_stats,
     rs_blocks,
     rs_lines,
-    rs_stats,
     rs_word_blocks,
 )
 
@@ -49,10 +52,10 @@ __all__ = [
     "ModeSpec",
     "SegmentMetrics",
     "CorpusReport",
+    "CorpusTally",
     "evaluate_log",
     "screen_schedule",
     "evaluate_corpus",
-    "aggregate_segments",
     "report_to_dict",
     "render_table",
     "write_report",
@@ -94,6 +97,7 @@ MODES: dict[DisplayMode, ModeSpec] = {
 
 # Fixed presentation order.
 MODE_ORDER = tuple(MODES)
+_MODE_KEYS = tuple(m.value for m in MODE_ORDER)
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,9 @@ class CorpusReport:
     rs_threshold: float
     cpl_bounds: tuple[int, int]
     segments: tuple[SegmentMetrics, ...] = field(default=())
+    # What the per-segment report lists, in corpus order: one tuple per
+    # segment of its id, its AL and each mode's delay in MODE_ORDER (ms).
+    segment_rows: Sequence[tuple] = ()
 
 
 def evaluate_log(
@@ -170,58 +177,85 @@ def evaluate_corpus(
     keep_segments: bool = False,
 ) -> CorpusReport:
     """Aggregate metrics over a corpus of emission logs."""
-    return aggregate_segments(
-        (evaluate_log(log, min_cpl, max_cpl, max_row_chars) for log in logs),
-        rs_threshold, min_cpl, max_cpl, keep_segments,
-    )
-
-
-def aggregate_segments(
-    segments: Iterable[SegmentMetrics],
-    rs_threshold: float = RS_THRESHOLD_CPS,
-    min_cpl: int = MIN_CPL,
-    max_cpl: int = MAX_CPL,
-    keep_segments: bool = False,
-) -> CorpusReport:
-    """Fold per-segment metrics, in corpus order, into a corpus report.
-
-    Reading-speed statistics pool samples across segments; AL and delays are
-    means of the per-segment values.
-    """
-    per_segment: list[SegmentMetrics] = []
-    pooled: dict[DisplayMode, list[ReadingSpeedSample]] = {m: [] for m in MODE_ORDER}
-    al_values: list[float] = []
-    delay_values: dict[DisplayMode, list[float]] = {m: [] for m in MODE_ORDER}
-    n_blocks = 0
-    n_conforming = 0
-    n_segments = 0
-    for metrics in segments:
-        n_segments += 1
-        al_values.append(metrics.average_lagging)
-        for mode in MODE_ORDER:
-            pooled[mode].extend(metrics.rs_samples[mode])
-            delay_values[mode].append(metrics.delay_by_mode[mode])
-        n_blocks += metrics.n_blocks
-        n_conforming += metrics.n_conforming_blocks
+    tally = CorpusTally(keep_ids=keep_segments)
+    segments = []
+    for log in logs:
+        metrics = evaluate_log(log, min_cpl, max_cpl, max_row_chars)
+        tally.add(metrics)
         if keep_segments:
-            per_segment.append(metrics)
-    if n_segments == 0:
+            segments.append(metrics)
+    return tally.report(rs_threshold, min_cpl, max_cpl, segments)
+
+
+class CorpusTally:
+    """The values corpus statistics are computed from, in corpus order: each
+    mode's pooled reading speeds (cps), each segment's AL and per-mode
+    delays, the block counts and, if kept, the segment ids.
+
+    Tallies of consecutive runs of a corpus merge into the tally of the
+    whole: the same float sequences, so the same report.
+    """
+
+    def __init__(self, keep_ids: bool = False) -> None:
+        self.cps: dict[DisplayMode, list[float]] = {m: [] for m in MODE_ORDER}
+        self.al: list[float] = []
+        self.delays: dict[DisplayMode, list[float]] = {m: [] for m in MODE_ORDER}
+        self.n_blocks = 0
+        self.n_conforming_blocks = 0
+        self.ids: list[str] | None = [] if keep_ids else None
+
+    def add(self, metrics: SegmentMetrics) -> None:
+        """Append one segment."""
+        self.al.append(metrics.average_lagging)
+        for mode in MODE_ORDER:
+            self.cps[mode].extend([s.cps for s in metrics.rs_samples[mode]])
+            self.delays[mode].append(metrics.delay_by_mode[mode])
+        self.n_blocks += metrics.n_blocks
+        self.n_conforming_blocks += metrics.n_conforming_blocks
+        if self.ids is not None:
+            self.ids.append(metrics.segment_id)
+
+    def merge(self, other: CorpusTally) -> None:
+        """Append the segments of other, which follow these in the corpus."""
+        self.al.extend(other.al)
+        for mode in MODE_ORDER:
+            self.cps[mode].extend(other.cps[mode])
+            self.delays[mode].extend(other.delays[mode])
+        self.n_blocks += other.n_blocks
+        self.n_conforming_blocks += other.n_conforming_blocks
+        if self.ids is not None:
+            self.ids.extend(other.ids)
+
+    def report(
+        self,
+        rs_threshold: float = RS_THRESHOLD_CPS,
+        min_cpl: int = MIN_CPL,
+        max_cpl: int = MAX_CPL,
+        segments: Iterable[SegmentMetrics] = (),
+    ) -> CorpusReport:
+        """The corpus report. Reading-speed statistics pool the speeds across
+        segments; AL and delays are means of the per-segment values."""
+        if not self.al:
+            return CorpusReport(
+                0, 0.0, {}, {m: None for m in MODE_ORDER}, None, rs_threshold,
+                (min_cpl, max_cpl),
+            )
+        rows = ()
+        if self.ids is not None:
+            rows = tuple(zip(self.ids, self.al, *(self.delays[m] for m in MODE_ORDER)))
         return CorpusReport(
-            0, 0.0, {}, {m: None for m in MODE_ORDER}, None, rs_threshold,
-            (min_cpl, max_cpl),
+            n_segments=len(self.al),
+            average_lagging=fmean(self.al),
+            delay_by_mode={m: fmean(self.delays[m]) for m in MODE_ORDER},
+            rs_by_mode={m: cps_stats(self.cps[m], rs_threshold) for m in MODE_ORDER},
+            length_conformity_pct=(
+                100.0 * self.n_conforming_blocks / self.n_blocks if self.n_blocks else None
+            ),
+            rs_threshold=rs_threshold,
+            cpl_bounds=(min_cpl, max_cpl),
+            segments=tuple(segments),
+            segment_rows=rows,
         )
-    return CorpusReport(
-        n_segments=n_segments,
-        average_lagging=fmean(al_values),
-        delay_by_mode={m: fmean(delay_values[m]) for m in MODE_ORDER},
-        rs_by_mode={m: rs_stats(pooled[m], rs_threshold) for m in MODE_ORDER},
-        length_conformity_pct=(
-            100.0 * n_conforming / n_blocks if n_blocks else None
-        ),
-        rs_threshold=rs_threshold,
-        cpl_bounds=(min_cpl, max_cpl),
-        segments=tuple(per_segment),
-    )
 
 
 def _mode_dict(report: CorpusReport, mode: DisplayMode) -> dict:
@@ -257,12 +291,8 @@ def report_to_dict(report: CorpusReport, per_segment: bool = False) -> dict:
     }
     if per_segment:
         doc["per_segment"] = [
-            {
-                "id": seg.segment_id,
-                "al_ms": seg.average_lagging,
-                "delay_ms": {m.value: seg.delay_by_mode[m] for m in MODE_ORDER},
-            }
-            for seg in report.segments
+            {"id": seg_id, "al_ms": al, "delay_ms": dict(zip(_MODE_KEYS, delays))}
+            for seg_id, al, *delays in report.segment_rows
         ]
     return doc
 
@@ -293,6 +323,37 @@ def render_table(report: CorpusReport, modes: Iterable[DisplayMode] = MODE_ORDER
     return "\n".join(rows) + "\n"
 
 
+# One per-segment entry as json.dumps(indent=2) lays it out at its depth.
+_SEGMENT_ENTRY = (
+    '    {\n      "id": %s,\n      "al_ms": %s,\n      "delay_ms": {\n'
+    + ",\n".join(f"        {encode_basestring(key)}: %s" for key in _MODE_KEYS)
+    + "\n      }\n    }"
+)
+
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: Sequence[float]) -> list[str]:
+    """Each float as json spells it: its repr, or NaN, Infinity, -Infinity."""
+    texts = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_JSON_CONSTANTS.get(t, t) for t in texts]
+    return texts
+
+
 def write_report(report: CorpusReport, per_segment: bool = False) -> str:
-    """Serialize the report as deterministic JSON."""
-    return json.dumps(report_to_dict(report, per_segment), ensure_ascii=False, indent=2) + "\n"
+    """Serialize the report as deterministic JSON: the text of
+    json.dumps(report_to_dict(report, per_segment), ensure_ascii=False,
+    indent=2) plus a newline. The per-segment entries, nearly all of it,
+    are laid out from one template, which is many times faster than the
+    pure-Python encoder that indent selects."""
+    head = json.dumps(report_to_dict(report), ensure_ascii=False, indent=2)
+    if not per_segment:
+        return head + "\n"
+    rows = report.segment_rows
+    if not rows:
+        return head[:-2] + ',\n  "per_segment": []\n}\n'
+    ids, *columns = zip(*rows)
+    entries = zip(map(encode_basestring, ids), *map(_json_floats, columns))
+    body = ",\n".join([_SEGMENT_ENTRY % entry for entry in entries])
+    return head[:-2] + ',\n  "per_segment": [\n' + body + "\n  ]\n}\n"

@@ -163,6 +163,8 @@ def test_replay_stops_at_first_match(tmp_path, logs_file):
         ["evaluate", "x.jsonl", "--cpl-min", "0", "--cpl-max", "0"],
         ["replay", "x.jsonl", "--segment", "s", "--speed", "-1"],
         ["replay", "x.jsonl", "--segment", "s", "--speed", "nan"],
+        ["simulate", "x.tsv", "--k", str(10**400)],
+        ["simulate", "x.tsv", "--k", str(10**308), "--step-ms", "10000"],
     ],
 )
 def test_invalid_arguments_exit_2(argv, capsys):
@@ -256,9 +258,11 @@ def _set(path, value):
         (_set(("g", 0), -0.5), "g"),
         (_set(("g", 1), 0.1), "g"),
         (_set(("g", -1), lambda r: r["duration"] + 5.0), "g"),
+        (_set(("k",), 10**400), "k"),
+        (_set(("step",), 1e308), "k"),
     ],
     ids=["t-string", "t-bool", "w-number", "t-decreasing", "g-string", "g-negative",
-         "g-decreasing", "g-past-duration"],
+         "g-decreasing", "g-past-duration", "k-huge", "step-times-k-infinite"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "export-srt"])
 def test_mistyped_or_inconsistent_fields_exit_3(tmp_path, logs_file, capsys, command, edit, field):
@@ -268,3 +272,62 @@ def test_mistyped_or_inconsistent_fields_exit_3(tmp_path, logs_file, capsys, com
     corpus.write_text("".join(lines), encoding="utf-8")
     assert main([command, str(corpus), "--jobs", "1", "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith(f"error: line 5, field {field!r}: ")
+
+
+def test_replay_huge_k_exits_3(tmp_path, logs_file, capsys):
+    lines = logs_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[4] = json.dumps(_set(("k",), 10**400)(json.loads(lines[4]))) + "\n"
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    assert main(["replay", str(corpus), "--segment", "seg00004", "--speed", "0"]) == 3
+    assert capsys.readouterr().err.startswith("error: line 5, field 'k': ")
+
+
+_ARGV = {
+    "evaluate": ["--per-segment", "--jobs", "1", "--out", "{out}/report.json"],
+    "export-srt": ["--jobs", "1", "--out", "{out}"],
+    "replay": ["--segment", "seg00009", "--speed", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        (b'"seg00004"', b'"seg\xff00004"', "id"),
+        (b'"w": "', b'"w": "\xff', "events"),
+        (b', "k"', b',\xff "k"', None),
+        (b', "k"', b', "note": "\xff", "k"', None),
+        (b'"seg00004"', b'"seg00004\\ud800"', "id"),
+        (b'"w": "', b'"w": "\\udc00', "events"),
+    ],
+    ids=["byte-in-id", "byte-in-w", "byte-between-fields", "byte-in-other-field",
+         "escaped-surrogate-id",
+         "escaped-surrogate-w"],
+)
+@pytest.mark.parametrize("command", list(_ARGV))
+def test_text_that_is_not_utf8_exits_3(tmp_path, logs_file, capsys, command, old, new, field):
+    lines = logs_file.read_bytes().splitlines(keepends=True)
+    assert old in lines[4]
+    lines[4] = lines[4].replace(old, new, 1)
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_bytes(b"".join(lines))
+    argv = [arg.format(out=tmp_path / "out") for arg in _ARGV[command]]
+    assert main([command, str(corpus), *argv]) == 3
+    where = "line 5" if field is None else f"line 5, field {field!r}"
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        (b"s\xff1\t2.0\ta b <eob>\n", "id"),
+        (b"s1\t2.0\ta \xffb <eob>\n", "tokens"),
+        (b"s1\t2.\xff0\ta b <eob>\n", "duration"),
+    ],
+    ids=["byte-in-id", "byte-in-tokens", "byte-in-duration"],
+)
+def test_simulate_rejects_bytes_that_are_not_utf8(tmp_path, capsys, line, field):
+    refs = tmp_path / "refs.tsv"
+    refs.write_bytes(b"s0\t2.0\ta b <eob>\n" + line)
+    assert main(["simulate", str(refs), "--out", str(tmp_path / "e.jsonl")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: line 2, field {field!r}: ")

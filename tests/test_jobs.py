@@ -3,6 +3,7 @@ warnings do not depend on the job count or the chunk size."""
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import livesubs
-from livesubs import cli, write_annotated_refs
+from livesubs import cli, evaluate_corpus, read_log_corpus, write_annotated_refs, write_report
 from livesubs.cli import main
 
 from conftest import make_refs
@@ -89,6 +90,41 @@ def test_bad_record_in_third_chunk(corpus, tmp_path, capsys, run):
     code, _, err = results[1]
     assert code == 3
     assert err.splitlines()[-1] == "error: line 600, field 'k': expected int, got '3'"
+
+
+def test_cli_report_equals_library_report(corpus, tmp_path, capsys, monkeypatch):
+    # worker tallies merged over 16-line runs give the library's report
+    monkeypatch.setattr(cli, "CHUNK_LINES", 16)
+    out = tmp_path / "report.json"
+    assert _evaluate(corpus, out, 2, capsys)[0] == 0
+    with open(corpus, encoding="utf-8") as f:
+        expected = write_report(evaluate_corpus(read_log_corpus(f), keep_segments=True), True)
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_worker_sends_no_sample_or_segment_objects(corpus):
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)[:cli.CHUNK_LINES]
+    for keep_ids in (False, True):
+        tally = cli._evaluate_chunk(6, 42, 84, keep_ids, (1, lines))
+        assert len(tally.al) == cli.CHUNK_LINES
+        data = pickle.dumps(tally)
+        assert b"ReadingSpeedSample" not in data
+        assert b"SegmentMetrics" not in data
+
+
+@pytest.mark.parametrize(
+    "events", [[{"t": 0.5, "w": "<eos>"}], []], ids=["eos-only", "no-events"]
+)
+def test_segment_without_words_names_its_line(corpus, tmp_path, capsys, events):
+    bad = _edited(corpus, tmp_path, {600: lambda r: json.dumps({**r, "events": events, "g": None})})
+    results = {jobs: _evaluate(bad, tmp_path / f"r{jobs}.json", jobs, capsys) for jobs in (1, 2)}
+    assert results[1] == results[2]
+    expected = "error: line 600, field 'events': segment seg00599: no word events"
+    assert results[1][0] == 3
+    assert results[1][2].splitlines() == [expected]
+    replay = ["replay", str(bad), "--segment", "seg00599", "--speed", "0"]
+    assert main(replay) == 3
+    assert capsys.readouterr().err.splitlines() == [expected]
 
 
 def test_empty_segment_warnings_in_file_order(corpus, tmp_path, capsys):

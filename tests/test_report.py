@@ -1,9 +1,14 @@
 import json
+import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from livesubs import (
+    CorpusReport,
     DisplayMode,
+    ReadingSpeedStats,
     evaluate_corpus,
     evaluate_log,
     render_table,
@@ -84,3 +89,55 @@ def test_evaluate_log_smoke():
     metrics = evaluate_log(log)
     assert metrics.n_blocks >= metrics.n_conforming_blocks >= 0
     assert metrics.average_lagging > 0
+
+
+# Floats as the report holds them, the ones json spells specially included.
+report_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e16, 1e308, math.inf, -math.inf, math.nan]),
+)
+segment_ids = st.one_of(
+    st.text(),
+    st.sampled_from(['a"b', "back\\slash", "tab\tnl\n\x00\x1f\x7f", "\u2028\u2029", "é€😀"]),
+)
+mode_stats = st.one_of(
+    st.none(),
+    st.builds(
+        ReadingSpeedStats, report_floats, report_floats, report_floats, report_floats,
+        st.integers(0, 10**6), st.integers(0, 10**6),
+    ),
+)
+
+
+@st.composite
+def reports(draw):
+    rows = draw(st.lists(st.tuples(segment_ids, *[report_floats] * (1 + len(DisplayMode)))))
+    return CorpusReport(
+        n_segments=draw(st.integers(0, 10**6)),
+        average_lagging=draw(report_floats),
+        delay_by_mode={m: draw(report_floats) for m in DisplayMode},
+        rs_by_mode={m: draw(mode_stats) for m in DisplayMode},
+        length_conformity_pct=draw(st.none() | report_floats),
+        rs_threshold=draw(report_floats),
+        cpl_bounds=(draw(st.integers(0, 100)), draw(st.integers(0, 100))),
+        segment_rows=tuple(rows),
+    )
+
+
+@given(reports())
+@example(CorpusReport(0, 0.0, {}, {m: None for m in DisplayMode}, None, 21.0, (6, 42)))
+def test_write_report_is_json_dumps(report):
+    for per_segment in (False, True):
+        expected = json.dumps(report_to_dict(report, per_segment), ensure_ascii=False, indent=2)
+        assert write_report(report, per_segment) == expected + "\n"
+
+
+def test_per_segment_rows_follow_segments(small_report):
+    rows = [
+        (seg.segment_id, seg.average_lagging, *seg.delay_by_mode.values())
+        for seg in small_report.segments
+    ]
+    assert list(small_report.segment_rows) == rows
+    assert list(report_to_dict(small_report, True)["per_segment"][0]["delay_ms"]) == [
+        "word", "block", "line"
+    ]
