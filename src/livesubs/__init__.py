@@ -43,6 +43,7 @@ from .formats import (
 )
 from .latency import (
     EmptyLogError,
+    LatencyOverflowError,
     MismatchedSegmentError,
     average_lagging,
     display_delay,

@@ -12,10 +12,11 @@ environment variable sets the default output directory.
 
 Exit codes: 0 success, 2 argument errors, 3 schema/data errors, 4 I/O errors.
 
-evaluate and export-srt read the corpus in fixed runs of lines and hand
-each run to a pool of --jobs worker processes that parse it and do the
-work; results come back, and are merged or written, in file order, so the
-output does not depend on the job count. An evaluate worker sends back one
+evaluate and export-srt read the corpus in fixed runs of lines. Worker
+processes, one per CPU this process may run on but no more than there are
+runs, parse each run and do the work (a single worker is this process).
+Results come back, and are merged or written, in file order, so the output
+does not depend on the worker count. An evaluate worker sends back one
 CorpusTally per run (floats, counts and ids), an export-srt worker the
 rendered SRT files.
 
@@ -39,7 +40,6 @@ from .core import StreamError, finite_delay_k
 from .display import MAX_ROW_CHARS, DisplayMode
 from .formats import SchemaError, export_srt, read_log_corpus, write_log_corpus
 from .formats import read_annotated_refs
-from .latency import EmptyLogError
 from .reading_speed import MAX_CPL, MIN_CPL, RS_THRESHOLD_CPS, rs_stats
 from .report import MODE_ORDER, CorpusTally, evaluate_log, render_table
 from .report import screen_schedule, write_report
@@ -95,13 +95,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default: $LIVESUBS_OUT or cwd)")
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=_AT_LEAST_ONE, default=os.cpu_count() or 1,
-        help="worker processes (default: the number of CPUs); output does not depend on it",
-    )
-
-
 def _add_policy(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=_AT_LEAST_ONE, default=3, help="wait-k parameter")
     parser.add_argument("--step-ms", type=_POSITIVE, default=280.0, help="read step size in ms")
@@ -135,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpl-min", type=_AT_LEAST_ZERO, default=MIN_CPL)
     p.add_argument("--cpl-max", type=_AT_LEAST_ONE, default=MAX_CPL)
     p.add_argument("--per-segment", action="store_true", help="include per-segment breakdown")
-    _add_jobs(p)
     _add_common(p)
 
     p = sub.add_parser("replay", help="replay one segment's screen states")
@@ -150,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-srt", help="export blocks-mode SRT files")
     p.add_argument("logs", help="emission-log corpus file")
-    _add_jobs(p)
     _add_common(p)
 
     return parser
@@ -164,19 +155,25 @@ def _chunks(lines):
         start += len(chunk)
 
 
-def _map_chunks(fn, path: str, jobs: int):
+def _map_chunks(fn, path: str):
     """fn((first line number, raw lines)) over the corpus at path, run by run;
     yields the results in file order.
 
-    With one job, or a corpus of one run, fn runs in this process. Otherwise
-    a pool of jobs workers runs it, with at most 2 * jobs runs in flight, so
-    neither the corpus nor the results pile up in memory. An exception fn
-    raises is raised here, in file order.
+    A pool of one worker per CPU this process may run on, but no more than
+    the corpus has runs, runs fn, with at most two runs in flight per worker,
+    so neither the corpus nor the results pile up in memory. When that count
+    is one, fn runs in this process. An exception fn raises is raised here,
+    in file order.
     """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity call on this OS
+        cpus = os.cpu_count() or 1
     with _open_text(path) as f:
         chunks = _chunks(f)
-        head = list(islice(chunks, 2))
-        if jobs == 1 or len(head) < 2:
+        head = list(islice(chunks, cpus))
+        jobs = len(head)
+        if jobs < 2:
             yield from map(fn, chain(head, chunks))
             return
         # Imported here: loading multiprocessing.pool adds about 20 ms to the
@@ -223,11 +220,11 @@ def _numbered_logs(start: int, lines):
 
 def _evaluate_at(lineno: int, log, *args, **kwargs):
     """evaluate_log(log, ...), naming the record's line when the log has no
-    word to measure."""
+    word to measure or a latency too large for a float."""
     try:
         return evaluate_log(log, *args, **kwargs)
-    except EmptyLogError as exc:
-        raise EmptyLogError(exc.message, lineno, "events") from None
+    except StreamError as exc:
+        raise type(exc)(exc.message, lineno, exc.field) from None
 
 
 def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, keep_ids: bool, chunk):
@@ -243,7 +240,7 @@ def cmd_evaluate(args) -> int:
         _evaluate_chunk, args.cpl_min, args.cpl_max, args.max_row_chars, args.per_segment
     )
     tally = CorpusTally(args.per_segment)
-    for run in _map_chunks(work, args.logs, args.jobs):
+    for run in _map_chunks(work, args.logs):
         tally.merge(run)
     report = tally.report(args.rs_threshold, args.cpl_min, args.cpl_max)
     if report.n_segments == 0:
@@ -268,6 +265,8 @@ def cmd_replay(args) -> int:
         return EXIT_SCHEMA
     lineno, log = found
     mode = _MODES[args.mode]
+    # Measured first: a segment whose latency no float holds shows no frame.
+    metrics = _evaluate_at(lineno, log, max_row_chars=args.max_row_chars)
     prev_onset = None
     for state in screen_schedule(log, mode, args.max_row_chars).states:
         if args.speed > 0 and prev_onset is not None:
@@ -277,7 +276,6 @@ def cmd_replay(args) -> int:
         for row in state.rows:
             print(f"  | {row}")
     # metric summary for the replayed segment
-    metrics = _evaluate_at(lineno, log, max_row_chars=args.max_row_chars)
     stats = rs_stats(metrics.rs_samples[mode], args.rs_threshold)
     print()
     print(f"segment {log.segment_id} ({mode.value} mode)")
@@ -294,6 +292,13 @@ def _render_srt_chunk(chunk) -> list[tuple[int, str, bytes, bool]]:
     """(line number, segment id, SRT file contents, no cues) per record."""
     rendered = []
     for lineno, log in _numbered_logs(*chunk):
+        # The last cue ends last, at end_time + delay_k; SRT times are whole ms.
+        if not math.isfinite(1000.0 * (log.end_time + log.delay_k)):
+            field = "k" if math.isfinite(1000.0 * log.end_time) else "events"
+            raise SchemaError(
+                f"segment {log.segment_id}: the last cue ends past the largest SRT time",
+                lineno, field,
+            )
         schedule = screen_schedule(log, DisplayMode.BLOCKS)
         srt = export_srt(schedule).encode("utf-8")
         rendered.append((lineno, log.segment_id, srt, not schedule.states))
@@ -323,7 +328,7 @@ def cmd_export_srt(args) -> int:
     # in the same directory doubles rather than overlaps.
     dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
     try:
-        for chunk in _map_chunks(_render_srt_chunk, args.logs, args.jobs):
+        for chunk in _map_chunks(_render_srt_chunk, args.logs):
             for lineno, seg_id, data, empty in chunk:
                 if _UNSAFE_ID_CHARS.intersection(seg_id):
                     raise SchemaError(

@@ -114,8 +114,8 @@ class TokenEvent:
             raise EmptySurfaceError("token surface is empty")
         if self.kind is TokenKind.WORD and _WHITESPACE.search(self.surface):
             raise StreamError(f"word surface contains whitespace: {self.surface!r}")
-        if self.emit_time < 0:
-            raise StreamError(f"negative emission time: {self.emit_time}")
+        if not 0 <= self.emit_time < math.inf:
+            raise StreamError(f"emission time must be finite and >= 0, got {self.emit_time}")
 
     @property
     def is_word(self) -> bool:
@@ -184,10 +184,10 @@ class SubtitleBlock:
 
 def delay_k_seconds(wait_k: int, step_size: float = 0.280) -> float:
     """Conservative stand-in for the unknown next emission time at segment end."""
-    if wait_k < 1:
-        raise ValueError(f"wait_k must be >= 1, got {wait_k}")
-    if step_size <= 0:
-        raise ValueError(f"step_size must be > 0, got {step_size}")
+    if not 1 <= wait_k < math.inf:
+        raise ValueError(f"wait_k must be finite and >= 1, got {wait_k}")
+    if not 0 < step_size < math.inf:
+        raise ValueError(f"step_size must be finite and > 0, got {step_size}")
     return step_size * wait_k
 
 
@@ -216,14 +216,14 @@ class EmissionLog:
     consumed_source: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.source_duration <= 0:
+        if not 0 < self.source_duration < math.inf:
             raise StreamError(
-                f"source_duration must be > 0, got {self.source_duration}"
+                f"source_duration must be finite and > 0, got {self.source_duration}"
             )
-        if self.wait_k < 1:
-            raise StreamError(f"wait_k must be >= 1, got {self.wait_k}")
-        if self.step_size <= 0:
-            raise StreamError(f"step_size must be > 0, got {self.step_size}")
+        if not 1 <= self.wait_k < math.inf:
+            raise StreamError(f"wait_k must be finite and >= 1, got {self.wait_k}")
+        if not 0 < self.step_size < math.inf:
+            raise StreamError(f"step_size must be finite and > 0, got {self.step_size}")
         last_t = float("-inf")
         for i, ev in enumerate(self.events):
             if ev.emit_time < last_t:

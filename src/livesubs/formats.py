@@ -174,6 +174,8 @@ def read_log_corpus(source: Iterable[str], start: int = 1) -> Iterator[EmissionL
             raise SchemaError(f"non-finite number {exc}", lineno, None) from None
         except ValueError as exc:  # an integer of more digits than int() reads
             raise SchemaError(f"unreadable number: {exc}", lineno, None) from None
+        except RecursionError:
+            raise SchemaError("JSON nested too deeply", lineno, None) from None
         if not isinstance(record, dict):
             raise SchemaError("record is not an object", lineno, None)
         log = log_from_record(record, lineno)
@@ -185,7 +187,7 @@ def read_log_corpus(source: Iterable[str], start: int = 1) -> Iterator[EmissionL
 
 def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
     for log in logs:
-        out.write(json.dumps(log_to_record(log), ensure_ascii=False))
+        out.write(json.dumps(log_to_record(log), ensure_ascii=False, allow_nan=False))
         out.write("\n")
 
 

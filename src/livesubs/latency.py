@@ -17,6 +17,7 @@ from .display import DisplaySchedule
 
 __all__ = [
     "EmptyLogError",
+    "LatencyOverflowError",
     "MismatchedSegmentError",
     "average_lagging",
     "display_delay",
@@ -25,6 +26,11 @@ __all__ = [
 
 class EmptyLogError(StreamError):
     """Latency is undefined for a log with no word events."""
+
+
+class LatencyOverflowError(StreamError):
+    """A log of finite times whose AL or display delay, in milliseconds, is
+    too large for a float; ``field`` names the input to blame."""
 
 
 class MismatchedSegmentError(StreamError):
@@ -54,7 +60,7 @@ def average_lagging(log: EmissionLog) -> float:
     g = _word_consumed_source(log)
     n = len(g)
     if n == 0:
-        raise EmptyLogError(f"segment {log.segment_id}: no word events")
+        raise EmptyLogError(f"segment {log.segment_id}: no word events", None, "events")
     d = log.source_duration
     tau = n
     for i, gi in enumerate(g, start=1):

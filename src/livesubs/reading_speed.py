@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean, pstdev
+from statistics import fmean, mean, pstdev
 from typing import Sequence
 
 from .core import SubtitleBlock, SubtitleLine
@@ -184,6 +184,15 @@ def rs_stats(
     return cps_stats([s.cps for s in samples], threshold)
 
 
+def fmean_no_overflow(values: Sequence[float]) -> float:
+    """fmean(values), or, when their sum passes the largest float but their
+    mean need not, the exact mean rounded once."""
+    try:
+        return fmean(values)
+    except OverflowError:
+        return mean(values)
+
+
 def cps_stats(
     values: Sequence[float], threshold: float = RS_THRESHOLD_CPS
 ) -> ReadingSpeedStats | None:
@@ -194,7 +203,7 @@ def cps_stats(
         return None
     conforming = sum(1 for v in values if v <= threshold)
     return ReadingSpeedStats(
-        mean=fmean(finite),
+        mean=fmean_no_overflow(finite),
         std_dev=pstdev(finite),
         pct_conforming=100.0 * conforming / len(values),
         threshold=threshold,

@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from statistics import fmean
 from typing import Any, Callable, Iterable, Sequence
 
 from .core import EmissionLog, SubtitleLine, blocks_from_lines, extract_lines
@@ -32,7 +31,7 @@ from .display import (
     schedule_line_mode,
     schedule_word_mode,
 )
-from .latency import average_lagging
+from .latency import LatencyOverflowError, average_lagging
 from .reading_speed import (
     MAX_CPL,
     MIN_CPL,
@@ -41,6 +40,7 @@ from .reading_speed import (
     ReadingSpeedStats,
     block_conforms,
     cps_stats,
+    fmean_no_overflow,
     rs_blocks,
     rs_lines,
     rs_word_blocks,
@@ -135,17 +135,27 @@ def evaluate_log(
 
     One segmentation pass serves all modes, and no screen states are built:
     a mode's delay is AL plus the mean over words of (first shown - emitted).
+    Raises LatencyOverflowError if AL or a delay is not a finite float.
     """
     lines = extract_lines(log.events)
     units = {mode: spec.units(log, lines, max_row_chars) for mode, spec in MODES.items()}
     al = average_lagging(log)
+    if not math.isfinite(al):  # in a corpus g <= duration, so the duration is to blame
+        raise LatencyOverflowError(
+            f"segment {log.segment_id}: AL is not a finite number of ms", None, "duration"
+        )
     delay_k = log.delay_k
     delays = {}
     samples = {}
     for mode, spec in MODES.items():
         shown = SHOWN_AT[mode]
         lags = [shown(u, w) - w.emit_time for u in units[mode] for w in u.words]
-        delays[mode] = al + 1000.0 * fmean(lags)
+        delays[mode] = al + 1000.0 * fmean_no_overflow(lags)
+        if not math.isfinite(delays[mode]):
+            raise LatencyOverflowError(
+                f"segment {log.segment_id}: {mode.value} delay is not a finite number of ms",
+                None, "events",
+            )
         samples[mode] = spec.rs(units[mode], delay_k, log.segment_id)
     blocks = units[DisplayMode.BLOCKS]
     return SegmentMetrics(
@@ -245,8 +255,8 @@ class CorpusTally:
             rows = tuple(zip(self.ids, self.al, *(self.delays[m] for m in MODE_ORDER)))
         return CorpusReport(
             n_segments=len(self.al),
-            average_lagging=fmean(self.al),
-            delay_by_mode={m: fmean(self.delays[m]) for m in MODE_ORDER},
+            average_lagging=fmean_no_overflow(self.al),
+            delay_by_mode={m: fmean_no_overflow(self.delays[m]) for m in MODE_ORDER},
             rs_by_mode={m: cps_stats(self.cps[m], rs_threshold) for m in MODE_ORDER},
             length_conformity_pct=(
                 100.0 * self.n_conforming_blocks / self.n_blocks if self.n_blocks else None

@@ -9,6 +9,7 @@ evaluation pipeline runnable without a trained translation model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import EmissionLog, StreamError, parse_token_stream
@@ -32,13 +33,13 @@ class WaitKConfig:
     flush_at_end: bool = True
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
-        if self.compute_latency < 0:
+        if not 1 <= self.k < math.inf:
+            raise ValueError(f"k must be finite and >= 1, got {self.k}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not 0 <= self.compute_latency < math.inf:
             raise ValueError(
-                f"compute_latency must be >= 0, got {self.compute_latency}"
+                f"compute_latency must be finite and >= 0, got {self.compute_latency}"
             )
 
 
@@ -52,9 +53,9 @@ class AnnotatedReference:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
+        if not 0 < self.duration < math.inf:
             raise StreamError(
-                f"segment {self.segment_id}: duration must be > 0"
+                f"segment {self.segment_id}: duration must be finite and > 0"
             )
         if not self.tokens:
             raise StreamError(f"segment {self.segment_id}: no tokens")

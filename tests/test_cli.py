@@ -64,6 +64,16 @@ def test_evaluate_table_and_report(tmp_path, logs_file, capsys):
     assert doc["modes"]["word"]["delay_ms"] == pytest.approx(doc["al_ms"])
 
 
+@pytest.mark.parametrize("mode", ["word", "block", "line"])
+def test_evaluate_mode_filters_the_table_not_the_report(tmp_path, logs_file, mode):
+    # --mode picks the rows of the printed table; the JSON report covers every mode
+    for flags in ([], ["--per-segment"]):
+        full, one = tmp_path / "all.json", tmp_path / f"{mode}.json"
+        assert main(["evaluate", str(logs_file), *flags, "--out", str(full)]) == 0
+        assert main(["evaluate", str(logs_file), *flags, "--mode", mode, "--out", str(one)]) == 0
+        assert one.read_bytes() == full.read_bytes()
+
+
 def test_evaluate_alternate_threshold(tmp_path, logs_file):
     out15 = tmp_path / "r15.json"
     out21 = tmp_path / "r21.json"
@@ -174,11 +184,13 @@ def test_invalid_arguments_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_jobs_defaults_to_cpu_count():
-    from livesubs.cli import build_parser
-
-    for command in ("evaluate", "export-srt"):
-        assert build_parser().parse_args([command, "x.jsonl"]).jobs == (os.cpu_count() or 1)
+@pytest.mark.parametrize("command", ["evaluate", "export-srt"])
+def test_corpus_commands_have_no_jobs_option(command, capsys):
+    # the worker count comes from the CPUs the process may use (test_jobs.py)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert "--jobs" not in capsys.readouterr().out
 
 
 def _with_id(logs_file, tmp_path, lineno, seg_id):
@@ -270,7 +282,7 @@ def test_mistyped_or_inconsistent_fields_exit_3(tmp_path, logs_file, capsys, com
     lines[4] = json.dumps(edit(json.loads(lines[4]))) + "\n"
     corpus = tmp_path / "bad.jsonl"
     corpus.write_text("".join(lines), encoding="utf-8")
-    assert main([command, str(corpus), "--jobs", "1", "--out", str(tmp_path / "out")]) == 3
+    assert main([command, str(corpus), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith(f"error: line 5, field {field!r}: ")
 
 
@@ -284,8 +296,8 @@ def test_replay_huge_k_exits_3(tmp_path, logs_file, capsys):
 
 
 _ARGV = {
-    "evaluate": ["--per-segment", "--jobs", "1", "--out", "{out}/report.json"],
-    "export-srt": ["--jobs", "1", "--out", "{out}"],
+    "evaluate": ["--per-segment", "--out", "{out}/report.json"],
+    "export-srt": ["--out", "{out}"],
     "replay": ["--segment", "seg00009", "--speed", "0"],
 }
 

@@ -120,6 +120,30 @@ def test_emission_log_validation():
         EmissionLog("s", 2.0, 3, events=parse_token_stream([("<eos>", 0.5), ("a", 1.0)]))
 
 
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("t", NON_FINITE)
+def test_parse_rejects_non_finite_time(t):
+    with pytest.raises(StreamError, match="finite"):
+        parse_token_stream([("a", t)])
+    with pytest.raises(StreamError):  # -inf fails as a decrease first
+        parse_token_stream([("a", 1.0), ("<eob>", t)])
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+def test_emission_log_rejects_non_finite_parameters(x):
+    events = parse_token_stream([("a", 1.0)])
+    for args in [(x, 3, 0.28), (2.0, x, 0.28), (2.0, 3, x)]:
+        with pytest.raises(StreamError, match="finite"):
+            EmissionLog("s", *args, events=events)
+    with pytest.raises(ValueError, match="finite"):
+        delay_k_seconds(3, x)
+    with pytest.raises(ValueError, match="finite"):
+        delay_k_seconds(x)
+
+
 token_streams = st.lists(
     st.tuples(
         st.sampled_from(["foo", "bar", "xyzzy", "<eol>", "<eob>"]),

@@ -21,7 +21,7 @@ from livesubs import (
     write_log_corpus,
 )
 from livesubs.formats import format_srt_time
-from livesubs.latency import EmptyLogError
+from livesubs.latency import EmptyLogError, LatencyOverflowError
 
 from conftest import make_refs, simulate_corpus
 from oracles import parse_srt
@@ -217,6 +217,7 @@ def test_overlapping_cues_rejected_even_under_optimize():
         NonPositiveDurationError("duration must be > 0", 2, "duration"),
         NonMonotonicTimeError("emission time decreases: 0.5 after 1.0"),
         EmptyLogError("segment s: no word events"),
+        LatencyOverflowError("segment s: AL is not a finite number of ms", 4, "duration"),
     ],
 )
 def test_stream_errors_survive_pickling(exc):
@@ -258,3 +259,13 @@ def test_decreasing_time_names_its_line():
     assert str(exc) == "line 5, field 'events': emission time decreases: 0.5 after 1.0"
     assert (exc.line, exc.field) == (5, "events")
     assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
+
+
+def test_corpus_writer_never_writes_non_finite_numbers():
+    # The constructors check the times; consumed_source is checked when read.
+    from livesubs import EmissionLog, parse_token_stream
+
+    log = EmissionLog("s", 2.0, 3, events=parse_token_stream([("a", 1.0)]),
+                      consumed_source=(float("nan"),))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_log_corpus([log], io.StringIO())

@@ -116,3 +116,12 @@ def test_config_validation():
         WaitKConfig(k=1, step_size=0)
     with pytest.raises(ValueError):
         WaitKConfig(k=1, compute_latency=-1)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_config_and_reference_reject_non_finite_values(x):
+    for kwargs in [{"k": x}, {"k": 3, "step_size": x}, {"k": 3, "compute_latency": x}]:
+        with pytest.raises(ValueError, match="finite"):
+            WaitKConfig(**kwargs)
+    with pytest.raises(ValueError, match="finite"):
+        AnnotatedReference("a", ("x",), x)
