@@ -38,7 +38,7 @@ from pathlib import Path
 
 from .core import StreamError, finite_delay_k
 from .display import MAX_ROW_CHARS, DisplayMode
-from .formats import SchemaError, export_srt, read_log_corpus, write_log_corpus
+from .formats import SRT_END_MS, SchemaError, export_srt, read_log_corpus, write_log_corpus
 from .formats import read_annotated_refs
 from .reading_speed import MAX_CPL, MIN_CPL, RS_THRESHOLD_CPS, rs_stats
 from .report import MODE_ORDER, CorpusTally, evaluate_log, render_table
@@ -210,36 +210,30 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _numbered_logs(start: int, lines):
-    """(line number, log) for each record in lines, the first of which is
-    line start of its file."""
+def _each_record(start: int, lines, work):
+    """(line number, work(log)) for each record in lines, the first of which
+    is line start of its file. A StreamError from work is raised naming the line."""
     for lineno, line in enumerate(lines, start):
         for log in read_log_corpus((line,), start=lineno):
-            yield lineno, log
+            try:
+                result = work(log)
+            except StreamError as exc:
+                raise type(exc)(exc.message, lineno, exc.field) from None
+            yield lineno, result
 
 
-def _evaluate_at(lineno: int, log, *args, **kwargs):
-    """evaluate_log(log, ...), naming the record's line when the log has no
-    word to measure or a latency too large for a float."""
-    try:
-        return evaluate_log(log, *args, **kwargs)
-    except StreamError as exc:
-        raise type(exc)(exc.message, lineno, exc.field) from None
-
-
-def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, keep_ids: bool, chunk):
+def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk):
     """One run of corpus lines folded into a CorpusTally."""
-    tally = CorpusTally(keep_ids)
-    for lineno, log in _numbered_logs(*chunk):
-        tally.add(_evaluate_at(lineno, log, min_cpl, max_cpl, max_row_chars))
+    measure = partial(evaluate_log, min_cpl=min_cpl, max_cpl=max_cpl, max_row_chars=max_row_chars)
+    tally = CorpusTally()
+    for _, metrics in _each_record(*chunk, measure):
+        tally.add(metrics)
     return tally
 
 
 def cmd_evaluate(args) -> int:
-    work = partial(
-        _evaluate_chunk, args.cpl_min, args.cpl_max, args.max_row_chars, args.per_segment
-    )
-    tally = CorpusTally(args.per_segment)
+    work = partial(_evaluate_chunk, args.cpl_min, args.cpl_max, args.max_row_chars)
+    tally = CorpusTally()
     for run in _map_chunks(work, args.logs):
         tally.merge(run)
     report = tally.report(args.rs_threshold, args.cpl_min, args.cpl_max)
@@ -257,16 +251,20 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    def measure(log):
+        # Before any frame is shown: a segment whose latency no float holds shows none.
+        if log.segment_id == args.segment:
+            return log, evaluate_log(log, max_row_chars=args.max_row_chars)
+        return None
+
     # Stream the corpus and stop at the first match: later records are not read.
     with _open_text(args.logs) as f:
-        found = next(((n, x) for n, x in _numbered_logs(1, f) if x.segment_id == args.segment), None)
+        found = next((x for _, x in _each_record(1, f, measure) if x is not None), None)
     if found is None:
         print(f"error: unknown segment id {args.segment!r}", file=sys.stderr)
         return EXIT_SCHEMA
-    lineno, log = found
+    log, metrics = found
     mode = _MODES[args.mode]
-    # Measured first: a segment whose latency no float holds shows no frame.
-    metrics = _evaluate_at(lineno, log, max_row_chars=args.max_row_chars)
     prev_onset = None
     for state in screen_schedule(log, mode, args.max_row_chars).states:
         if args.speed > 0 and prev_onset is not None:
@@ -288,21 +286,21 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _render_srt_chunk(chunk) -> list[tuple[int, str, bytes, bool]]:
-    """(line number, segment id, SRT file contents, no cues) per record."""
-    rendered = []
-    for lineno, log in _numbered_logs(*chunk):
-        # The last cue ends last, at end_time + delay_k; SRT times are whole ms.
-        if not math.isfinite(1000.0 * (log.end_time + log.delay_k)):
-            field = "k" if math.isfinite(1000.0 * log.end_time) else "events"
-            raise SchemaError(
-                f"segment {log.segment_id}: the last cue ends past the largest SRT time",
-                lineno, field,
-            )
-        schedule = screen_schedule(log, DisplayMode.BLOCKS)
-        srt = export_srt(schedule).encode("utf-8")
-        rendered.append((lineno, log.segment_id, srt, not schedule.states))
-    return rendered
+def _render_srt(log) -> tuple[str, bytes, bool]:
+    """(segment id, SRT file contents, no cues) of one log."""
+    # The last cue ends last, at end_time + delay_k, which may be infinite.
+    if not 1000.0 * (log.end_time + log.delay_k) < SRT_END_MS:
+        field = "k" if 1000.0 * log.end_time < SRT_END_MS else "events"
+        raise SchemaError(
+            f"segment {log.segment_id}: the last cue ends past the largest SRT time", None, field
+        )
+    schedule = screen_schedule(log, DisplayMode.BLOCKS)
+    return log.segment_id, export_srt(schedule).encode("utf-8"), not schedule.states
+
+
+def _render_srt_chunk(chunk) -> list[tuple[int, tuple[str, bytes, bool]]]:
+    """(line number, (segment id, SRT file contents, no cues)) per record."""
+    return list(_each_record(*chunk, _render_srt))
 
 
 _UNSAFE_ID_CHARS = {c for c in ("/", os.sep, os.altsep, "\0") if c}
@@ -329,7 +327,7 @@ def cmd_export_srt(args) -> int:
     dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
     try:
         for chunk in _map_chunks(_render_srt_chunk, args.logs):
-            for lineno, seg_id, data, empty in chunk:
+            for lineno, (seg_id, data, empty) in chunk:
                 if _UNSAFE_ID_CHARS.intersection(seg_id):
                     raise SchemaError(
                         f"segment id {seg_id!r} cannot name a file in {out}", lineno, "id"

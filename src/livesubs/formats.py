@@ -37,6 +37,7 @@ __all__ = [
     "write_annotated_refs",
     "export_srt",
     "format_srt_time",
+    "SRT_END_MS",
 ]
 
 
@@ -55,6 +56,14 @@ def _is_number(value) -> bool:
     return type(value) is float or (
         isinstance(value, (int, float)) and not isinstance(value, bool)
     )
+
+
+def _float(value: int | float, line: int | None, field: str) -> float:
+    """A JSON number as a float: an integer too large for one names its field."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError("integer too large for a float", line, field) from None
 
 
 def _utf8(text: str) -> bool:
@@ -82,11 +91,18 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
     seg_id = _require(record, "id", (str,), line)
     if not seg_id.isascii() and not _utf8(seg_id):
         raise SchemaError(f"not UTF-8 text: {seg_id!r}", line, "id")
-    duration = _require(record, "duration", (int, float), line)
+    # The constructors check these ranges too, but only the reader knows the field.
+    duration = _float(_require(record, "duration", (int, float), line), line, "duration")
     if duration <= 0:
         raise NonPositiveDurationError("duration must be > 0", line, "duration")
+    if not duration < math.inf:
+        raise SchemaError("duration must be finite", line, "duration")
     k = _require(record, "k", (int,), line)
-    step = _require(record, "step", (int, float), line)
+    if k < 1:
+        raise SchemaError("k must be >= 1", line, "k")
+    step = _float(_require(record, "step", (int, float), line), line, "step")
+    if not step > 0:
+        raise SchemaError("step must be > 0", line, "step")
     if not finite_delay_k(k, step):
         raise SchemaError("step * k must be a finite number of seconds", line, "k")
     raw_events = _require(record, "events", (list,), line)
@@ -95,10 +111,12 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
         if not isinstance(ev, dict) or "t" not in ev or "w" not in ev:
             raise SchemaError(f"event {j} needs 't' and 'w'", line, "events")
         w, t = ev["w"], ev["t"]
-        if not _is_number(t) or not isinstance(w, str):
-            raise SchemaError(
-                f"event {j} needs a number 't' and a string 'w', got {ev!r}", line, "events"
-            )
+        if type(t) is not float:  # nearly every t is
+            if not _is_number(t):
+                raise SchemaError(f"event {j} needs a number 't', got {ev!r}", line, "events")
+            t = _float(t, line, "events")
+        if not isinstance(w, str):
+            raise SchemaError(f"event {j} needs a string 'w', got {ev!r}", line, "events")
         if not w.isascii() and not _utf8(w):
             raise SchemaError(f"event {j}: 'w' is not UTF-8 text: {w!r}", line, "events")
         raw.append((w, t))
@@ -115,20 +133,21 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
                 )
             last = x
         g = tuple(float(x) for x in g)
+    # Whatever the constructors still reject is about the events.
     try:
         events = parse_token_stream(raw)
         return EmissionLog(
             segment_id=seg_id,
-            source_duration=float(duration),
+            source_duration=duration,
             wait_k=k,
-            step_size=float(step),
+            step_size=step,
             events=events,
             consumed_source=g,
         )
     except NonMonotonicTimeError as exc:
         raise NonMonotonicTimeError(exc.message, line, "events") from exc
     except StreamError as exc:
-        raise SchemaError(str(exc), line, None) from exc
+        raise SchemaError(exc.message, line, "events") from exc
 
 
 def log_to_record(log: EmissionLog) -> dict:
@@ -227,6 +246,12 @@ def read_annotated_refs(source: Iterable[str]):
 def write_annotated_refs(refs, out: IO[str]) -> None:
     for ref in refs:
         out.write(f"{ref.segment_id}\t{ref.duration}\t{' '.join(ref.tokens)}\n")
+
+
+# SRT times have two hour digits, so they end before 100 h: format_srt_time
+# writes them for seconds * 1000 below this, which rounds (half to even)
+# below 360,000,000 ms.
+SRT_END_MS = 359_999_999.5
 
 
 def format_srt_time(seconds: float) -> str:

@@ -123,27 +123,35 @@ def rs_word_blocks(
     return tuple(samples)
 
 
+def _readable_speeds(
+    units: Sequence, times: Sequence[float], ahead: int, delay_k: float, segment_id: str,
+    mode: DisplayMode,
+) -> tuple[ReadingSpeedSample, ...]:
+    """Each non-empty unit's text over the time until the unit ahead places
+    later appears (times[i] is when unit i appears). When that unit does not
+    exist, the interval runs to the last unit's time plus the wait-k delay."""
+    samples: list[ReadingSpeedSample] = []
+    last = len(units) - 1
+    for i, unit in enumerate(units):
+        length = unit.char_length
+        if length == 0:
+            continue
+        if i + ahead <= last:
+            elapsed = times[i + ahead] - times[i]
+        else:
+            elapsed = (times[last] - times[i]) + delay_k
+        samples.append(ReadingSpeedSample((segment_id, i), _speed(length, elapsed), mode))
+    return tuple(samples)
+
+
 def rs_blocks(
     blocks: Sequence[SubtitleBlock], delay_k: float, segment_id: str = ""
 ) -> tuple[ReadingSpeedSample, ...]:
     """Block-mode reading speed: block text over the time until the next
     block is completed (wait-k delay for the last block). Break symbols are
     not read and contribute nothing to the text. Empty blocks are skipped."""
-    samples: list[ReadingSpeedSample] = []
-    for b, block in enumerate(blocks):
-        length = block.char_length
-        if length == 0:
-            continue
-        if b + 1 < len(blocks):
-            elapsed = blocks[b + 1].block_time - block.block_time
-        else:
-            elapsed = delay_k
-        samples.append(
-            ReadingSpeedSample(
-                (segment_id, b), _speed(length, elapsed), DisplayMode.BLOCKS
-            )
-        )
-    return tuple(samples)
+    times = [b.block_time for b in blocks]
+    return _readable_speeds(blocks, times, 1, delay_k, segment_id, DisplayMode.BLOCKS)
 
 
 def rs_lines(
@@ -152,24 +160,8 @@ def rs_lines(
     """Scrolling-lines reading speed: a line stays visible until two later
     lines have appeared, so its slot spans the next two inter-line gaps. The
     missing future gaps at segment end are replaced by the wait-k delay."""
-    samples: list[ReadingSpeedSample] = []
-    last = len(lines) - 1
-    for l, line in enumerate(lines):
-        length = line.char_length
-        if length == 0:
-            continue
-        if l == last:
-            elapsed = delay_k
-        elif l == last - 1:
-            elapsed = (lines[l + 1].break_time - line.break_time) + delay_k
-        else:
-            elapsed = lines[l + 2].break_time - line.break_time
-        samples.append(
-            ReadingSpeedSample(
-                (segment_id, l), _speed(length, elapsed), DisplayMode.SCROLLING_LINES
-            )
-        )
-    return tuple(samples)
+    times = [line.break_time for line in lines]
+    return _readable_speeds(lines, times, 2, delay_k, segment_id, DisplayMode.SCROLLING_LINES)
 
 
 def rs_stats(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Sequence
 
@@ -187,32 +187,32 @@ def evaluate_corpus(
     keep_segments: bool = False,
 ) -> CorpusReport:
     """Aggregate metrics over a corpus of emission logs."""
-    tally = CorpusTally(keep_ids=keep_segments)
+    tally = CorpusTally()
     segments = []
     for log in logs:
         metrics = evaluate_log(log, min_cpl, max_cpl, max_row_chars)
         tally.add(metrics)
         if keep_segments:
             segments.append(metrics)
-    return tally.report(rs_threshold, min_cpl, max_cpl, segments)
+    return replace(tally.report(rs_threshold, min_cpl, max_cpl), segments=tuple(segments))
 
 
 class CorpusTally:
     """The values corpus statistics are computed from, in corpus order: each
     mode's pooled reading speeds (cps), each segment's AL and per-mode
-    delays, the block counts and, if kept, the segment ids.
+    delays, the block counts and the segment ids.
 
     Tallies of consecutive runs of a corpus merge into the tally of the
     whole: the same float sequences, so the same report.
     """
 
-    def __init__(self, keep_ids: bool = False) -> None:
+    def __init__(self) -> None:
         self.cps: dict[DisplayMode, list[float]] = {m: [] for m in MODE_ORDER}
         self.al: list[float] = []
         self.delays: dict[DisplayMode, list[float]] = {m: [] for m in MODE_ORDER}
         self.n_blocks = 0
         self.n_conforming_blocks = 0
-        self.ids: list[str] | None = [] if keep_ids else None
+        self.ids: list[str] = []
 
     def add(self, metrics: SegmentMetrics) -> None:
         """Append one segment."""
@@ -222,8 +222,7 @@ class CorpusTally:
             self.delays[mode].append(metrics.delay_by_mode[mode])
         self.n_blocks += metrics.n_blocks
         self.n_conforming_blocks += metrics.n_conforming_blocks
-        if self.ids is not None:
-            self.ids.append(metrics.segment_id)
+        self.ids.append(metrics.segment_id)
 
     def merge(self, other: CorpusTally) -> None:
         """Append the segments of other, which follow these in the corpus."""
@@ -233,15 +232,13 @@ class CorpusTally:
             self.delays[mode].extend(other.delays[mode])
         self.n_blocks += other.n_blocks
         self.n_conforming_blocks += other.n_conforming_blocks
-        if self.ids is not None:
-            self.ids.extend(other.ids)
+        self.ids.extend(other.ids)
 
     def report(
         self,
         rs_threshold: float = RS_THRESHOLD_CPS,
         min_cpl: int = MIN_CPL,
         max_cpl: int = MAX_CPL,
-        segments: Iterable[SegmentMetrics] = (),
     ) -> CorpusReport:
         """The corpus report. Reading-speed statistics pool the speeds across
         segments; AL and delays are means of the per-segment values."""
@@ -250,9 +247,6 @@ class CorpusTally:
                 0, 0.0, {}, {m: None for m in MODE_ORDER}, None, rs_threshold,
                 (min_cpl, max_cpl),
             )
-        rows = ()
-        if self.ids is not None:
-            rows = tuple(zip(self.ids, self.al, *(self.delays[m] for m in MODE_ORDER)))
         return CorpusReport(
             n_segments=len(self.al),
             average_lagging=fmean_no_overflow(self.al),
@@ -263,8 +257,7 @@ class CorpusTally:
             ),
             rs_threshold=rs_threshold,
             cpl_bounds=(min_cpl, max_cpl),
-            segments=tuple(segments),
-            segment_rows=rows,
+            segment_rows=tuple(zip(self.ids, self.al, *(self.delays[m] for m in MODE_ORDER))),
         )
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 
 import pytest
@@ -272,14 +273,27 @@ def _set(path, value):
         (_set(("g", -1), lambda r: r["duration"] + 5.0), "g"),
         (_set(("k",), 10**400), "k"),
         (_set(("step",), 1e308), "k"),
+        (_set(("duration",), 10**400), "duration"),
+        (_set(("events", -1, "t"), 10**400), "events"),
+        (_set(("events", 0, "t"), -1), "events"),
+        (_set(("events", 0, "w"), ""), "events"),
+        (_set(("events", 0, "w"), "a b"), "events"),
+        (_set(("events", 0, "w"), "<eos>"), "events"),
+        (_set(("k",), 0), "k"),
+        (_set(("step",), 0), "step"),
+        (_set(("duration",), math.inf), "duration"),
     ],
     ids=["t-string", "t-bool", "w-number", "t-decreasing", "g-string", "g-negative",
-         "g-decreasing", "g-past-duration", "k-huge", "step-times-k-infinite"],
+         "g-decreasing", "g-past-duration", "k-huge", "step-times-k-infinite",
+         "duration-int-too-large", "t-int-too-large", "t-negative", "w-empty", "w-space",
+         "eos-before-word", "k-zero", "step-zero", "duration-1e400"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "export-srt"])
 def test_mistyped_or_inconsistent_fields_exit_3(tmp_path, logs_file, capsys, command, edit, field):
     lines = logs_file.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[4] = json.dumps(edit(json.loads(lines[4]))) + "\n"
+    # json.dumps spells an infinite float Infinity, a constant the reader
+    # rejects; 1e400 is a number that it reads as infinity.
+    lines[4] = json.dumps(edit(json.loads(lines[4]))).replace("Infinity", "1e400") + "\n"
     corpus = tmp_path / "bad.jsonl"
     corpus.write_text("".join(lines), encoding="utf-8")
     assert main([command, str(corpus), "--out", str(tmp_path / "out")]) == 3

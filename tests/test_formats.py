@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import pickle
 
 import pytest
@@ -20,7 +21,7 @@ from livesubs import (
     write_annotated_refs,
     write_log_corpus,
 )
-from livesubs.formats import format_srt_time
+from livesubs.formats import SRT_END_MS, format_srt_time
 from livesubs.latency import EmptyLogError, LatencyOverflowError
 
 from conftest import make_refs, simulate_corpus
@@ -178,6 +179,14 @@ def test_format_srt_time():
     assert format_srt_time(0.0) == "00:00:00,000"
     assert format_srt_time(3661.5) == "01:01:01,500"
     assert format_srt_time(0.0004) == "00:00:00,000"
+
+
+def test_srt_times_below_the_end_have_two_hour_digits():
+    # 359999.9995 s is 359,999,999.5 ms, which rounds half to even up to 100 h
+    last = math.nextafter(359999.9995, 0.0)
+    assert last * 1000 < SRT_END_MS <= 359999.9995 * 1000
+    assert format_srt_time(last) == "99:59:59,999"
+    assert format_srt_time(359999.9995) == "100:00:00,000"
 
 
 OVERLAPPING = """

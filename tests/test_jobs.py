@@ -147,6 +147,11 @@ _AL_ERROR = "line 600, field 'duration': segment seg00599: AL is not a finite nu
 _DELAY_ERROR = ("line 600, field 'events': segment seg00599: "
                 "block delay is not a finite number of ms")
 _SRT_ERROR = "line 600, field {!r}: segment seg00599: the last cue ends past the largest SRT time"
+# A block shown from 99:59:59,500 that the wait-k delay (0.84 s) closes at
+# 100 h or later, or whose end rounds to 100:00:00,000; a break at 100 h.
+_SRT_HOURS = [{"t": 0.0, "w": "a"}, {"t": 359999.5, "w": "<eob>"}]
+_SRT_ROUNDS = [{"t": 0.0, "w": "a"}, {"t": 359999.1596, "w": "<eob>"}]
+_SRT_BREAK = [{"t": 0.0, "w": "a"}, {"t": 360000.0, "w": "<eob>"}]
 
 
 @pytest.mark.parametrize(
@@ -161,10 +166,15 @@ _SRT_ERROR = "line 600, field {!r}: segment seg00599: the last cue ends past the
          [_DELAY_ERROR, _SRT_ERROR.format("events"), _DELAY_ERROR]),
         ({600: _record(step=1e306)}, [None, _SRT_ERROR.format("k"), None]),
         ({600: _record(duration=2, events=_TINY_INTERVALS)}, [None] * 3),
-        ({600: _HUGE_AL, 601: _HUGE_AL}, [None] * 3),
+        ({600: _HUGE_AL, 601: _HUGE_AL}, [None, _SRT_ERROR.format("events"), None]),
+        ({600: _record(duration=2, events=_SRT_HOURS)}, [None, _SRT_ERROR.format("k"), None]),
+        ({600: _record(duration=2, events=_SRT_ROUNDS)}, [None, _SRT_ERROR.format("k"), None]),
+        ({600: _record(duration=2, events=_SRT_BREAK)},
+         [None, _SRT_ERROR.format("events"), None]),
     ],
     ids=["deep-nesting", "huge-duration", "huge-times", "huge-lags", "huge-step",
-         "tiny-intervals", "huge-al-twice"],
+         "tiny-intervals", "huge-al-twice", "srt-100-hours", "srt-rounds-to-100-hours",
+         "srt-break-at-100-hours"],
 )
 def test_numbers_near_the_float_limit(corpus, tmp_path, capsys, edits, errors):
     # Finite inputs near the float limit, and JSON nested past the recursion
@@ -203,12 +213,11 @@ def test_cli_report_equals_library_report(corpus, tmp_path, capsys, monkeypatch)
 
 def test_worker_sends_no_sample_or_segment_objects(corpus):
     lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)[:cli.CHUNK_LINES]
-    for keep_ids in (False, True):
-        tally = cli._evaluate_chunk(6, 42, 84, keep_ids, (1, lines))
-        assert len(tally.al) == cli.CHUNK_LINES
-        data = pickle.dumps(tally)
-        assert b"ReadingSpeedSample" not in data
-        assert b"SegmentMetrics" not in data
+    tally = cli._evaluate_chunk(6, 42, 84, (1, lines))
+    assert len(tally.al) == cli.CHUNK_LINES
+    data = pickle.dumps(tally)
+    assert b"ReadingSpeedSample" not in data
+    assert b"SegmentMetrics" not in data
 
 
 @pytest.mark.parametrize(
