@@ -101,8 +101,8 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
     if k < 1:
         raise SchemaError("k must be >= 1", line, "k")
     step = _float(_require(record, "step", (int, float), line), line, "step")
-    if not step > 0:
-        raise SchemaError("step must be > 0", line, "step")
+    if not 0 < step < math.inf:
+        raise SchemaError("step must be finite and > 0", line, "step")
     if not finite_delay_k(k, step):
         raise SchemaError("step * k must be a finite number of seconds", line, "k")
     raw_events = _require(record, "events", (list,), line)
