@@ -199,8 +199,9 @@ def cmd_simulate(args) -> int:
         compute_latency=args.latency_ms / 1000.0,
         flush_at_end=not args.no_flush,
     )
+    simulate = partial(simulate_waitk, cfg=cfg)
     with _open_text(args.refs) as f:
-        logs = [simulate_waitk(ref, cfg) for ref in read_annotated_refs(f)]
+        logs = [log for _, log in _each_record(read_annotated_refs, 1, f, simulate, "tokens")]
     out = _out_dir(args)
     out_path = out if args.out and not out.is_dir() else out / "emissions.jsonl"
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -210,15 +211,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _each_record(start: int, lines, work):
-    """(line number, work(log)) for each record in lines, the first of which
-    is line start of its file. A StreamError from work is raised naming the line."""
+def _each_record(read, start: int, lines, work, field: str | None = None):
+    """(line number, work(record)) for each record that read (read_log_corpus
+    or read_annotated_refs) finds in lines, the first of which is line start
+    of its file. A StreamError from work is raised naming the line, and field
+    when it names none."""
     for lineno, line in enumerate(lines, start):
-        for log in read_log_corpus((line,), start=lineno):
+        for record in read((line,), start=lineno):
             try:
-                result = work(log)
+                result = work(record)
             except StreamError as exc:
-                raise type(exc)(exc.message, lineno, exc.field) from None
+                raise type(exc)(exc.message, lineno, exc.field or field) from None
             yield lineno, result
 
 
@@ -226,7 +229,7 @@ def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk):
     """One run of corpus lines folded into a CorpusTally."""
     measure = partial(evaluate_log, min_cpl=min_cpl, max_cpl=max_cpl, max_row_chars=max_row_chars)
     tally = CorpusTally()
-    for _, metrics in _each_record(*chunk, measure):
+    for _, metrics in _each_record(read_log_corpus, *chunk, measure):
         tally.add(metrics)
     return tally
 
@@ -259,7 +262,8 @@ def cmd_replay(args) -> int:
 
     # Stream the corpus and stop at the first match: later records are not read.
     with _open_text(args.logs) as f:
-        found = next((x for _, x in _each_record(1, f, measure) if x is not None), None)
+        measured = (x for _, x in _each_record(read_log_corpus, 1, f, measure))
+        found = next((x for x in measured if x is not None), None)
     if found is None:
         print(f"error: unknown segment id {args.segment!r}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -300,7 +304,7 @@ def _render_srt(log) -> tuple[str, bytes, bool]:
 
 def _render_srt_chunk(chunk) -> list[tuple[int, tuple[str, bytes, bool]]]:
     """(line number, (segment id, SRT file contents, no cues)) per record."""
-    return list(_each_record(*chunk, _render_srt))
+    return list(_each_record(read_log_corpus, *chunk, _render_srt))
 
 
 _UNSAFE_ID_CHARS = {c for c in ("/", os.sep, os.altsep, "\0") if c}

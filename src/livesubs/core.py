@@ -9,7 +9,6 @@ from the start of the source audio.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -35,7 +34,6 @@ __all__ = [
 EOL_SURFACE = "<eol>"
 EOB_SURFACE = "<eob>"
 EOS_SURFACE = "<eos>"
-_WHITESPACE = re.compile(r"\s")  # the characters str.isspace() accepts
 
 
 class StreamError(ValueError):
@@ -101,6 +99,12 @@ def classify_surface(surface: str) -> TokenKind:
     return _BREAK_KINDS.get(surface, TokenKind.WORD)
 
 
+def _unbroken(text: str) -> bool:
+    """Whether text is non-empty and holds no whitespace (no character that
+    str.isspace() accepts): it splits into one piece, itself."""
+    return text.split() == [text]
+
+
 @dataclass(frozen=True, slots=True)
 class TokenEvent:
     """One emitted token with its emission timestamp."""
@@ -112,7 +116,7 @@ class TokenEvent:
     def __post_init__(self) -> None:
         if not self.surface:
             raise EmptySurfaceError("token surface is empty")
-        if self.kind is TokenKind.WORD and _WHITESPACE.search(self.surface):
+        if self.kind is TokenKind.WORD and not _unbroken(self.surface):
             raise StreamError(f"word surface contains whitespace: {self.surface!r}")
         if not 0 <= self.emit_time < math.inf:
             raise StreamError(f"emission time must be finite and >= 0, got {self.emit_time}")
@@ -120,6 +124,12 @@ class TokenEvent:
     @property
     def is_word(self) -> bool:
         return self.kind is TokenKind.WORD
+
+
+# Set a TokenEvent's fields past the frozen __setattr__ and __post_init__.
+_SET_SURFACE = TokenEvent.surface.__set__
+_SET_KIND = TokenEvent.kind.__set__
+_SET_EMIT_TIME = TokenEvent.emit_time.__set__
 
 
 def parse_token_stream(
@@ -179,7 +189,14 @@ class SubtitleBlock:
 
     @property
     def char_length(self) -> int:
-        return len(self.text)
+        return _joined_length([line.char_length for line in self.lines])
+
+
+def _joined_length(lengths: Sequence[int]) -> int:
+    """Length of the non-empty texts of these lengths joined by single
+    spaces: a block's text from its lines'."""
+    pieces = [n for n in lengths if n]
+    return sum(pieces) + len(pieces) - 1 if pieces else 0
 
 
 def delay_k_seconds(wait_k: int, step_size: float = 0.280) -> float:
@@ -255,6 +272,79 @@ class EmissionLog:
         return self.events[-1].emit_time if self.events else 0.0
 
 
+def _log_from_columns(
+    segment_id: str,
+    source_duration: float,
+    wait_k: int,
+    step_size: float,
+    surfaces: list[str],
+    times: list[float],
+    consumed_source: tuple[float, ...] | None,
+) -> EmissionLog:
+    """EmissionLog(segment_id, source_duration, wait_k, step_size,
+    parse_token_stream(zip(surfaces, times)), consumed_source): the same log,
+    or the same error.
+
+    Every check those constructors make is made once, on the whole columns;
+    when all pass, the events and the log are built without making them
+    again.
+    """
+    if not _columns_pass(source_duration, wait_k, step_size, surfaces, times, consumed_source):
+        return EmissionLog(
+            segment_id, source_duration, wait_k, step_size,
+            parse_token_stream(zip(surfaces, times)), consumed_source,
+        )
+    new = object.__new__
+    kind_of = _BREAK_KINDS.get
+    word = TokenKind.WORD
+    events = []
+    for surface, t in zip(surfaces, times):
+        ev = new(TokenEvent)
+        _SET_SURFACE(ev, surface)
+        _SET_KIND(ev, kind_of(surface, word))
+        _SET_EMIT_TIME(ev, t)
+        events.append(ev)
+    log = new(EmissionLog)
+    vars(log).update(
+        segment_id=segment_id,
+        source_duration=source_duration,
+        wait_k=wait_k,
+        step_size=step_size,
+        events=tuple(events),
+        consumed_source=consumed_source,
+    )
+    return log
+
+
+def _columns_pass(
+    source_duration: float,
+    wait_k: int,
+    step_size: float,
+    surfaces: list[str],
+    times: list[float],
+    consumed_source: tuple[float, ...] | None,
+) -> bool:
+    """Whether TokenEvent, parse_token_stream and EmissionLog accept these
+    fields and (surface, time) columns."""
+    last = 0.0
+    for t in times:
+        if not last <= t < math.inf:  # in order, finite and >= 0
+            return False
+        last = t
+    return (
+        0 < source_duration < math.inf
+        and 1 <= wait_k < math.inf
+        and 0 < step_size < math.inf
+        and (consumed_source is None or len(consumed_source) == len(times))
+        and (
+            not surfaces
+            # no surface is empty or holds whitespace, and <eos> is last
+            or ("" not in surfaces and _unbroken("".join(surfaces))
+                and EOS_SURFACE not in surfaces[:-1])
+        )
+    )
+
+
 def extract_blocks(events: Sequence[TokenEvent]) -> tuple[SubtitleBlock, ...]:
     """Split a parsed event sequence into subtitle blocks.
 
@@ -270,13 +360,17 @@ def extract_lines(events: Sequence[TokenEvent]) -> tuple[SubtitleLine, ...]:
     as one unified delimiter. Trailing words form an implicit final line."""
     lines: list[SubtitleLine] = []
     cur_words: list[TokenEvent] = []
+    # Looked up once: an Enum member looked up through its class costs about
+    # 0.1 us in Python 3.11, and this loop runs once per event.
+    word, eol, eob = TokenKind.WORD, TokenKind.END_OF_LINE, TokenKind.END_OF_BLOCK
     for ev in events:
-        if ev.kind is TokenKind.WORD:
+        kind = ev.kind
+        if kind is word:
             cur_words.append(ev)
-        elif ev.kind is TokenKind.END_OF_LINE:
+        elif kind is eol:
             lines.append(SubtitleLine(tuple(cur_words), ev.emit_time, Terminator.END_OF_LINE))
             cur_words = []
-        elif ev.kind is TokenKind.END_OF_BLOCK:
+        elif kind is eob:
             lines.append(SubtitleLine(tuple(cur_words), ev.emit_time, Terminator.END_OF_BLOCK))
             cur_words = []
     if cur_words:
@@ -292,11 +386,21 @@ def blocks_from_lines(lines: Sequence[SubtitleLine]) -> tuple[SubtitleBlock, ...
     timed at its last line's break time."""
     blocks: list[SubtitleBlock] = []
     start = 0
-    for i, line in enumerate(lines, start=1):
-        if line.terminator is Terminator.END_OF_BLOCK:
-            blocks.append(SubtitleBlock(tuple(lines[start:i]), line.break_time, line.terminator))
-            start = i
-    if start < len(lines):
-        trailing = tuple(lines[start:])
-        blocks.append(SubtitleBlock(trailing, trailing[-1].break_time, Terminator.IMPLICIT_END))
+    for stop in _block_stops(lines):
+        last = lines[stop - 1]
+        terminator = last.terminator
+        if terminator is not Terminator.END_OF_BLOCK:
+            terminator = Terminator.IMPLICIT_END
+        blocks.append(SubtitleBlock(tuple(lines[start:stop]), last.break_time, terminator))
+        start = stop
     return tuple(blocks)
+
+
+def _block_stops(lines: Sequence[SubtitleLine]) -> list[int]:
+    """Where each block of blocks_from_lines ends: the index after its last
+    line, which is closed by ``<eob>`` or is the last line."""
+    eob = Terminator.END_OF_BLOCK
+    stops = [i for i, line in enumerate(lines, 1) if line.terminator is eob]
+    if len(lines) > (stops[-1] if stops else 0):
+        stops.append(len(lines))
+    return stops

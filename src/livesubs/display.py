@@ -87,41 +87,51 @@ def group_word_blocks(
     structure. Character count is word lengths plus one space between
     adjacent words. A single word longer than max_chars gets its own block.
     """
+    words = [ev for ev in events if ev.is_word]
     blocks: list[WordBlock] = []
-    cur: list[TokenEvent] = []
-    cur_len = 0
-    for ev in events:
-        if not ev.is_word:
-            continue
-        added = len(ev.surface) if not cur else cur_len + 1 + len(ev.surface)
-        if cur and added > max_chars:
-            blocks.append(WordBlock(tuple(cur), cur_len))
-            cur = [ev]
-            cur_len = len(ev.surface)
-        else:
-            cur.append(ev)
-            cur_len = added
-    if cur:
-        blocks.append(WordBlock(tuple(cur), cur_len))
+    start = 0
+    for stop, width in _pack_rows([len(w.surface) for w in words], max_chars):
+        blocks.append(WordBlock(tuple(words[start:stop]), width))
+        start = stop
     return tuple(blocks)
 
 
-# When a word is first on screen, per mode: shown(unit, word) for a word of
-# one of the mode's units (word-for-word group, block or line).
-SHOWN_AT: dict[DisplayMode, Callable[[Any, TokenEvent], float]] = {
-    DisplayMode.WORD_FOR_WORD: lambda group, word: word.emit_time,
-    DisplayMode.BLOCKS: lambda block, word: block.block_time,
-    DisplayMode.SCROLLING_LINES: lambda line, word: line.break_time,
+def _pack_rows(lengths: Sequence[int], max_chars: int) -> list[tuple[int, int]]:
+    """group_word_blocks over word lengths: (index after its last word,
+    characters) of each row."""
+    rows: list[tuple[int, int]] = []
+    width = 0
+    for i, n in enumerate(lengths):
+        if i and width + 1 + n <= max_chars:
+            width += 1 + n
+        else:
+            if i:
+                rows.append((i, width))
+            width = n
+    if lengths:
+        rows.append((len(lengths), width))
+    return rows
+
+
+# When each word is first on screen, per mode: shown(emitted, closed) of the
+# columns of the words' emission times and of the times their units are
+# complete (a block's block_time, a line's break_time).
+SHOWN_AT: dict[DisplayMode, Callable[[Sequence[float], Sequence[Any]], Sequence[float]]] = {
+    DisplayMode.WORD_FOR_WORD: lambda emitted, closed: emitted,
+    DisplayMode.BLOCKS: lambda emitted, closed: closed,
+    DisplayMode.SCROLLING_LINES: lambda emitted, closed: closed,
 }
 
 
 def _schedule(
-    mode: DisplayMode, states: list[ScreenState], units: Sequence[Any]
+    mode: DisplayMode, states: list[ScreenState], units: Sequence[Any], unit_times: Sequence[Any]
 ) -> DisplaySchedule:
     """The mode's schedule of states; the words of units, numbered in
-    emission order, are first shown at SHOWN_AT[mode]."""
-    shown = SHOWN_AT[mode]
-    times = dict(enumerate(shown(u, w) for u in units for w in u.words))
+    emission order, are first shown at SHOWN_AT[mode] (unit_times[i] is
+    when units[i] is complete)."""
+    emitted = [w.emit_time for u in units for w in u.words]
+    closed = [t for u, t in zip(units, unit_times) for _ in u.words]
+    times = dict(enumerate(SHOWN_AT[mode](emitted, closed)))
     return DisplaySchedule(mode, tuple(states), times)
 
 
@@ -154,7 +164,8 @@ def schedule_word_mode(
             else:
                 offset = block_end
             _append_state(states, (row,), w.emit_time, offset)
-    return _schedule(DisplayMode.WORD_FOR_WORD, states, blocks)
+    # A word is shown when emitted: when its group is complete plays no part.
+    return _schedule(DisplayMode.WORD_FOR_WORD, states, blocks, [None] * len(blocks))
 
 
 def schedule_block_mode(blocks: Sequence[SubtitleBlock]) -> DisplaySchedule:
@@ -165,7 +176,7 @@ def schedule_block_mode(blocks: Sequence[SubtitleBlock]) -> DisplaySchedule:
         offset = blocks[b + 1].block_time if b + 1 < len(blocks) else None
         rows = tuple(line.text for line in block.lines)
         _append_state(states, rows, block.block_time, offset)
-    return _schedule(DisplayMode.BLOCKS, states, blocks)
+    return _schedule(DisplayMode.BLOCKS, states, blocks, [b.block_time for b in blocks])
 
 
 def schedule_line_mode(lines: Sequence[SubtitleLine]) -> DisplaySchedule:
@@ -180,7 +191,9 @@ def schedule_line_mode(lines: Sequence[SubtitleLine]) -> DisplaySchedule:
             rows = (lines[l - 1].text, line.text)
         offset = lines[l + 1].break_time if l + 1 < len(lines) else None
         _append_state(states, rows, line.break_time, offset)
-    return _schedule(DisplayMode.SCROLLING_LINES, states, lines)
+    return _schedule(
+        DisplayMode.SCROLLING_LINES, states, lines, [line.break_time for line in lines]
+    )
 
 
 def close_schedule(schedule: DisplaySchedule, end_time: float) -> DisplaySchedule:

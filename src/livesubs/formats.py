@@ -21,10 +21,11 @@ from .core import (
     EmissionLog,
     NonMonotonicTimeError,
     StreamError,
+    _log_from_columns,
     finite_delay_k,
-    parse_token_stream,
 )
 from .display import DisplayMode, DisplaySchedule
+from .waitk import AnnotatedReference
 
 __all__ = [
     "SchemaError",
@@ -78,9 +79,11 @@ def _utf8(text: str) -> bool:
 
 
 def _require(record: dict, field: str, types: tuple[type, ...], line: int | None):
+    value = record.get(field)
+    if type(value) in types:  # nearly every value; never a bool
+        return value
     if field not in record:
         raise SchemaError("missing", line, field)
-    value = record[field]
     if not isinstance(value, types) or isinstance(value, bool):
         raise SchemaError(f"expected {types[0].__name__}, got {value!r}", line, field)
     return value
@@ -106,7 +109,8 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
     if not finite_delay_k(k, step):
         raise SchemaError("step * k must be a finite number of seconds", line, "k")
     raw_events = _require(record, "events", (list,), line)
-    raw: list[tuple[str, float]] = []
+    surfaces: list[str] = []
+    times: list[float] = []
     for j, ev in enumerate(raw_events):
         if not isinstance(ev, dict) or "t" not in ev or "w" not in ev:
             raise SchemaError(f"event {j} needs 't' and 'w'", line, "events")
@@ -119,31 +123,24 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
             raise SchemaError(f"event {j} needs a string 'w', got {ev!r}", line, "events")
         if not w.isascii() and not _utf8(w):
             raise SchemaError(f"event {j}: 'w' is not UTF-8 text: {w!r}", line, "events")
-        raw.append((w, t))
+        surfaces.append(w)
+        times.append(t)
     g = record.get("g")
     if g is not None:
-        if not isinstance(g, list) or len(g) != len(raw):
+        if not isinstance(g, list) or len(g) != len(times):
             raise SchemaError("'g' must match events in length", line, "g")
         last = 0.0
         for j, x in enumerate(g):
-            if not _is_number(x) or not last <= x <= duration:
+            if not (type(x) is float or _is_number(x)) or not last <= x <= duration:
                 raise SchemaError(
                     f"entry {j} is {x!r}; entries must be numbers in "
                     f"[0, {duration!r}] that never decrease", line, "g",
                 )
             last = x
-        g = tuple(float(x) for x in g)
+        g = tuple(map(float, g))
     # Whatever the constructors still reject is about the events.
     try:
-        events = parse_token_stream(raw)
-        return EmissionLog(
-            segment_id=seg_id,
-            source_duration=duration,
-            wait_k=k,
-            step_size=step,
-            events=events,
-            consumed_source=g,
-        )
+        return _log_from_columns(seg_id, duration, k, step, surfaces, times, g)
     except NonMonotonicTimeError as exc:
         raise NonMonotonicTimeError(exc.message, line, "events") from exc
     except StreamError as exc:
@@ -210,12 +207,11 @@ def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
         out.write("\n")
 
 
-def read_annotated_refs(source: Iterable[str]):
+def read_annotated_refs(source: Iterable[str], start: int = 1):
     """Parse references: one segment per line, tab-separated id, duration,
-    space-separated tokens with inline break symbols."""
-    from .waitk import AnnotatedReference
-
-    for lineno, line in enumerate(source, start=1):
+    space-separated tokens with inline break symbols. start is the file line
+    number of the first line of source."""
+    for lineno, line in enumerate(source, start=start):
         line = line.rstrip("\n")
         if not line.strip():
             continue

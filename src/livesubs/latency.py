@@ -10,10 +10,12 @@ equals AL by construction.
 
 from __future__ import annotations
 
-from statistics import fmean
+from operator import sub
+from typing import Sequence
 
-from .core import EmissionLog, StreamError
+from .core import EmissionLog, StreamError, TokenKind
 from .display import DisplaySchedule
+from .reading_speed import fmean_no_overflow
 
 __all__ = [
     "EmptyLogError",
@@ -37,16 +39,16 @@ class MismatchedSegmentError(StreamError):
     """Schedule and log do not describe the same segment."""
 
 
-def _word_consumed_source(log: EmissionLog) -> list[float]:
-    """Consumed-source seconds per word. Simulated logs record it exactly;
-    for external logs the emission time (clamped to the source duration)
-    upper-bounds it and is used as an approximation."""
+def _word_consumed_source(log: EmissionLog, word_times: Sequence[float]) -> list[float]:
+    """Consumed-source seconds per word (word_times are the words' emission
+    times). Simulated logs record it exactly; for external logs the emission
+    time (clamped to the source duration) upper-bounds it and is used as an
+    approximation."""
     if log.consumed_source is not None:
-        return [
-            g for g, ev in zip(log.consumed_source, log.events) if ev.is_word
-        ]
+        word = TokenKind.WORD
+        return [g for g, ev in zip(log.consumed_source, log.events) if ev.kind is word]
     d = log.source_duration
-    return [min(ev.emit_time, d) for ev in log.words]
+    return [min(t, d) for t in word_times]
 
 
 def average_lagging(log: EmissionLog) -> float:
@@ -57,17 +59,21 @@ def average_lagging(log: EmissionLog) -> float:
     source consumed when word i was emitted, D the source duration, n the
     number of words and tau the first index with g(i) >= D (n if none).
     """
-    g = _word_consumed_source(log)
+    g = _word_consumed_source(log, [w.emit_time for w in log.words])
+    return _lagging_ms(g, log.source_duration, log.segment_id)
+
+
+def _lagging_ms(g: Sequence[float], d: float, segment_id: str) -> float:
+    """average_lagging of the words' consumed source g and the duration d."""
     n = len(g)
     if n == 0:
-        raise EmptyLogError(f"segment {log.segment_id}: no word events", None, "events")
-    d = log.source_duration
+        raise EmptyLogError(f"segment {segment_id}: no word events", None, "events")
     tau = n
     for i, gi in enumerate(g, start=1):
         if gi >= d:
             tau = i
             break
-    total = sum(g[i] - i * d / n for i in range(tau))
+    total = sum([g[i] - i * d / n for i in range(tau)])
     return 1000.0 * total / tau
 
 
@@ -89,7 +95,10 @@ def display_delay(
         )
     if not words:
         raise EmptyLogError(f"segment {log.segment_id}: no word events")
-    extra = fmean(
-        schedule.word_display_times[i] - w.emit_time for i, w in enumerate(words)
-    )
-    return al + 1000.0 * extra
+    shown = [schedule.word_display_times[i] for i in range(len(words))]
+    return _delay_ms(al, shown, [w.emit_time for w in words])
+
+
+def _delay_ms(al: float, shown: Sequence[float], emitted: Sequence[float]) -> float:
+    """display_delay: al plus the mean over words of (first shown - emitted)."""
+    return al + 1000.0 * fmean_no_overflow(list(map(sub, shown, emitted)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from statistics import fmean, mean, pstdev
 from typing import Sequence
 
@@ -91,49 +92,71 @@ def rs_word_block(
     """
     if not block.words:
         return None
-    best = 0.0
-    suffix_len = 0
-    elapsed = 0.0
-    for i in range(len(block.words) - 1, -1, -1):
-        w = block.words[i]
-        suffix_len += len(w.surface) if i == len(block.words) - 1 else len(w.surface) + 1
-        if i == len(block.words) - 1:
-            if next_start is None:
-                elapsed = delay_k
-            else:
-                elapsed = next_start - w.emit_time
-        else:
-            elapsed += block.words[i + 1].emit_time - w.emit_time
-        best = max(best, _speed(suffix_len, elapsed))
-    return ReadingSpeedSample((segment_id, index), best, DisplayMode.WORD_FOR_WORD)
+    lengths = [len(w.surface) for w in block.words]
+    times = [w.emit_time for w in block.words]
+    cps = _group_speed(lengths, times, 0, len(times), next_start, delay_k)
+    return ReadingSpeedSample((segment_id, index), cps, DisplayMode.WORD_FOR_WORD)
+
+
+def _group_speed(
+    lengths: Sequence[int], times: Sequence[float], start: int, stop: int,
+    next_start: float | None, delay_k: float,
+) -> float:
+    """rs_word_block's speed, in cps, of the group of words start..stop-1 of
+    the columns of word lengths and emission times."""
+    last = stop - 1
+    suffix_len = lengths[last]
+    elapsed = delay_k if next_start is None else next_start - times[last]
+    best = max(0.0, _speed(suffix_len, elapsed))
+    for i in range(last - 1, start - 1, -1):
+        suffix_len += lengths[i] + 1
+        elapsed += times[i + 1] - times[i]
+        speed = _speed(suffix_len, elapsed)
+        if speed > best:
+            best = speed
+    return best
+
+
+def _group_speeds(
+    lengths: Sequence[int], times: Sequence[float], stops: Sequence[int], delay_k: float,
+    segment_id: str,
+) -> tuple[ReadingSpeedSample, ...]:
+    """rs_word_blocks over the columns of word lengths and emission times:
+    group i ends before word stops[i]. Empty groups are skipped."""
+    samples: list[ReadingSpeedSample] = []
+    mode = DisplayMode.WORD_FOR_WORD
+    start = 0
+    for index, stop in enumerate(stops):
+        if start < stop:
+            next_start = times[stop] if stop < len(times) else None
+            cps = _group_speed(lengths, times, start, stop, next_start, delay_k)
+            samples.append(ReadingSpeedSample((segment_id, index), cps, mode))
+        start = stop
+    return tuple(samples)
 
 
 def rs_word_blocks(
     blocks: Sequence[WordBlock], delay_k: float, segment_id: str = ""
 ) -> tuple[ReadingSpeedSample, ...]:
     """Per-group word-for-word samples over one segment's word groups."""
-    samples: list[ReadingSpeedSample] = []
-    for i, block in enumerate(blocks):
-        next_start = (
-            blocks[i + 1].words[0].emit_time if i + 1 < len(blocks) else None
-        )
-        sample = rs_word_block(block, next_start, delay_k, segment_id, i)
-        if sample is not None:
-            samples.append(sample)
-    return tuple(samples)
+    words = [w for block in blocks for w in block.words]
+    stops = list(accumulate(len(block.words) for block in blocks))
+    return _group_speeds(
+        [len(w.surface) for w in words], [w.emit_time for w in words], stops, delay_k, segment_id
+    )
 
 
 def _readable_speeds(
-    units: Sequence, times: Sequence[float], ahead: int, delay_k: float, segment_id: str,
+    lengths: Sequence[int], times: Sequence[float], ahead: int, delay_k: float, segment_id: str,
     mode: DisplayMode,
 ) -> tuple[ReadingSpeedSample, ...]:
-    """Each non-empty unit's text over the time until the unit ahead places
-    later appears (times[i] is when unit i appears). When that unit does not
-    exist, the interval runs to the last unit's time plus the wait-k delay."""
+    """Each non-empty unit's text (lengths[i] characters) over the time until
+    the unit ahead places later appears (times[i] is when unit i appears).
+    When that unit does not exist, the interval runs to the last unit's time
+    plus the wait-k delay."""
     samples: list[ReadingSpeedSample] = []
-    last = len(units) - 1
-    for i, unit in enumerate(units):
-        length = unit.char_length
+    last = len(lengths) - 1
+    for i, length in enumerate(lengths):
         if length == 0:
             continue
         if i + ahead <= last:
@@ -150,8 +173,9 @@ def rs_blocks(
     """Block-mode reading speed: block text over the time until the next
     block is completed (wait-k delay for the last block). Break symbols are
     not read and contribute nothing to the text. Empty blocks are skipped."""
+    lengths = [b.char_length for b in blocks]
     times = [b.block_time for b in blocks]
-    return _readable_speeds(blocks, times, 1, delay_k, segment_id, DisplayMode.BLOCKS)
+    return _readable_speeds(lengths, times, 1, delay_k, segment_id, DisplayMode.BLOCKS)
 
 
 def rs_lines(
@@ -160,8 +184,9 @@ def rs_lines(
     """Scrolling-lines reading speed: a line stays visible until two later
     lines have appeared, so its slot spans the next two inter-line gaps. The
     missing future gaps at segment end are replaced by the wait-k delay."""
+    lengths = [line.char_length for line in lines]
     times = [line.break_time for line in lines]
-    return _readable_speeds(lines, times, 2, delay_k, segment_id, DisplayMode.SCROLLING_LINES)
+    return _readable_speeds(lengths, times, 2, delay_k, segment_id, DisplayMode.SCROLLING_LINES)
 
 
 def rs_stats(
@@ -209,7 +234,12 @@ def block_conforms(
 ) -> bool:
     """Whether every line of a subtitle is min_cpl..max_cpl characters long
     (inclusive, spaces included)."""
-    return all(min_cpl <= line.char_length <= max_cpl for line in block.lines)
+    return _conforms([line.char_length for line in block.lines], min_cpl, max_cpl)
+
+
+def _conforms(line_lengths: Sequence[int], min_cpl: int, max_cpl: int) -> bool:
+    """block_conforms over the lengths of a block's lines."""
+    return all(min_cpl <= n <= max_cpl for n in line_lengths)
 
 
 def length_conformity(

@@ -19,31 +19,33 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Sequence
 
-from .core import EmissionLog, SubtitleLine, blocks_from_lines, extract_lines
+from .core import EmissionLog, SubtitleLine, _block_stops, _joined_length, blocks_from_lines
+from .core import extract_lines
 from .display import (
     MAX_ROW_CHARS,
     SHOWN_AT,
     DisplayMode,
     DisplaySchedule,
+    _pack_rows,
     close_schedule,
     group_word_blocks,
     schedule_block_mode,
     schedule_line_mode,
     schedule_word_mode,
 )
-from .latency import LatencyOverflowError, average_lagging
+from .latency import LatencyOverflowError, _delay_ms, _lagging_ms, _word_consumed_source
 from .reading_speed import (
     MAX_CPL,
     MIN_CPL,
     RS_THRESHOLD_CPS,
     ReadingSpeedSample,
     ReadingSpeedStats,
-    block_conforms,
+    _conforms,
+    _group_speeds,
+    _readable_speeds,
     cps_stats,
     fmean_no_overflow,
-    rs_blocks,
     rs_lines,
-    rs_word_blocks,
 )
 
 __all__ = [
@@ -66,12 +68,10 @@ __all__ = [
 class ModeSpec:
     """One display mode: units(log, lines, max_row_chars) cuts a segment into
     the mode's units from its lines (one segmentation pass serves all modes);
-    rs(units, delay_k, segment_id) gives their reading-speed samples;
     schedule(units) builds the screen states that replay and SRT export
     render. When a word is first on screen is display.SHOWN_AT's rule."""
 
     units: Callable[[EmissionLog, Sequence[SubtitleLine], int], Sequence[Any]]
-    rs: Callable[[Sequence[Any], float, str], tuple[ReadingSpeedSample, ...]]
     schedule: Callable[[Sequence[Any]], DisplaySchedule]
 
 
@@ -80,17 +80,14 @@ class ModeSpec:
 MODES: dict[DisplayMode, ModeSpec] = {
     DisplayMode.WORD_FOR_WORD: ModeSpec(
         units=lambda log, lines, max_row_chars: group_word_blocks(log.events, max_row_chars),
-        rs=lambda units, delay_k, segment_id: rs_word_blocks(units, delay_k, segment_id),
         schedule=lambda units: schedule_word_mode(units),
     ),
     DisplayMode.BLOCKS: ModeSpec(
         units=lambda log, lines, max_row_chars: blocks_from_lines(lines),
-        rs=lambda units, delay_k, segment_id: rs_blocks(units, delay_k, segment_id),
         schedule=lambda units: schedule_block_mode(units),
     ),
     DisplayMode.SCROLLING_LINES: ModeSpec(
         units=lambda log, lines, max_row_chars: lines,
-        rs=lambda units, delay_k, segment_id: rs_lines(units, delay_k, segment_id),
         schedule=lambda units: schedule_line_mode(units),
     ),
 }
@@ -98,6 +95,9 @@ MODES: dict[DisplayMode, ModeSpec] = {
 # Fixed presentation order.
 MODE_ORDER = tuple(MODES)
 _MODE_KEYS = tuple(m.value for m in MODE_ORDER)
+# Looked up once: an Enum member looked up through its class costs about
+# 0.1 us in Python 3.11, which evaluate_log would pay per segment and mode.
+_WORD, _BLOCKS, _LINES = DisplayMode.WORD_FOR_WORD, DisplayMode.BLOCKS, DisplayMode.SCROLLING_LINES
 
 
 @dataclass(frozen=True)
@@ -133,38 +133,66 @@ def evaluate_log(
 ) -> SegmentMetrics:
     """All per-segment metrics for one emission log.
 
-    One segmentation pass serves all modes, and no screen states are built:
-    a mode's delay is AL plus the mean over words of (first shown - emitted).
+    One segmentation pass serves all modes. Blocks and word groups are index
+    ranges over the lines and words, and no screen states are built: a
+    mode's delay is AL plus the mean over words of (first shown - emitted).
     Raises LatencyOverflowError if AL or a delay is not a finite float.
     """
     lines = extract_lines(log.events)
-    units = {mode: spec.units(log, lines, max_row_chars) for mode, spec in MODES.items()}
-    al = average_lagging(log)
+    # Columns, one entry per word: its emission time and length, and when its
+    # line and its block are complete.
+    times: list[float] = []
+    lengths: list[int] = []
+    line_closed: list[float] = []
+    block_closed: list[float] = []
+    # One entry per block: when it is complete, its length, whether it conforms.
+    block_times: list[float] = []
+    block_lengths: list[int] = []
+    n_conforming = 0
+    line_lengths = [line.char_length for line in lines]
+    start = 0
+    for stop in _block_stops(lines):
+        first_word = len(times)
+        for line in lines[start:stop]:
+            words = line.words
+            times += [w.emit_time for w in words]
+            lengths += [len(w.surface) for w in words]
+            line_closed += [line.break_time] * len(words)
+        block_time = lines[stop - 1].break_time
+        block_closed += [block_time] * (len(times) - first_word)
+        block_times.append(block_time)
+        block_lengths.append(_joined_length(line_lengths[start:stop]))
+        n_conforming += _conforms(line_lengths[start:stop], min_cpl, max_cpl)
+        start = stop
+    segment_id = log.segment_id
+    al = _lagging_ms(_word_consumed_source(log, times), log.source_duration, segment_id)
     if not math.isfinite(al):  # in a corpus g <= duration, so the duration is to blame
         raise LatencyOverflowError(
-            f"segment {log.segment_id}: AL is not a finite number of ms", None, "duration"
+            f"segment {segment_id}: AL is not a finite number of ms", None, "duration"
         )
-    delay_k = log.delay_k
+    closed = {_WORD: times, _BLOCKS: block_closed, _LINES: line_closed}
     delays = {}
-    samples = {}
-    for mode, spec in MODES.items():
-        shown = SHOWN_AT[mode]
-        lags = [shown(u, w) - w.emit_time for u in units[mode] for w in u.words]
-        delays[mode] = al + 1000.0 * fmean_no_overflow(lags)
+    for mode in MODE_ORDER:
+        delays[mode] = _delay_ms(al, SHOWN_AT[mode](times, closed[mode]), times)
         if not math.isfinite(delays[mode]):
             raise LatencyOverflowError(
-                f"segment {log.segment_id}: {mode.value} delay is not a finite number of ms",
+                f"segment {segment_id}: {mode.value} delay is not a finite number of ms",
                 None, "events",
             )
-        samples[mode] = spec.rs(units[mode], delay_k, log.segment_id)
-    blocks = units[DisplayMode.BLOCKS]
+    delay_k = log.delay_k
+    group_stops = [stop for stop, _ in _pack_rows(lengths, max_row_chars)]
+    samples = {
+        _WORD: _group_speeds(lengths, times, group_stops, delay_k, segment_id),
+        _BLOCKS: _readable_speeds(block_lengths, block_times, 1, delay_k, segment_id, _BLOCKS),
+        _LINES: rs_lines(lines, delay_k, segment_id),
+    }
     return SegmentMetrics(
-        segment_id=log.segment_id,
+        segment_id=segment_id,
         average_lagging=al,
         delay_by_mode=delays,
         rs_samples=samples,
-        n_blocks=len(blocks),
-        n_conforming_blocks=sum(1 for b in blocks if block_conforms(b, min_cpl, max_cpl)),
+        n_blocks=len(block_times),
+        n_conforming_blocks=n_conforming,
     )
 
 

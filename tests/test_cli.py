@@ -358,3 +358,30 @@ def test_simulate_rejects_bytes_that_are_not_utf8(tmp_path, capsys, line, field)
     refs.write_bytes(b"s0\t2.0\ta b <eob>\n" + line)
     assert main(["simulate", str(refs), "--out", str(tmp_path / "e.jsonl")]) == 3
     assert capsys.readouterr().err.startswith(f"error: line 2, field {field!r}: ")
+
+
+_LONG_REF = " ".join(["w"] * 2000) + " <eos>"
+
+
+@pytest.mark.parametrize(
+    "tokens, argv, message",
+    [
+        ("hello <eos> world <eob> <eos>", [], "segment s1: <eos> is not the last event"),
+        (_LONG_REF, ["--latency-ms", "1e308"], "emission time must be finite and >= 0, got inf"),
+        (
+            _LONG_REF,
+            ["--no-flush", "--k", "1", "--step-ms", "1e308"],
+            "emission time must be finite and >= 0, got inf",
+        ),
+    ],
+    ids=["eos-before-words", "huge-latency", "huge-step-no-flush"],
+)
+def test_simulate_names_the_line_of_a_reference_the_simulator_rejects(
+    tmp_path, capsys, tokens, argv, message
+):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text(f"s0\t2.0\ta b <eob>\n\ns1\t2.0\t{tokens}\n", encoding="utf-8")
+    out = tmp_path / "e.jsonl"
+    assert main(["simulate", str(refs), "--out", str(out), *argv]) == 3
+    assert capsys.readouterr().err == f"error: line 3, field 'tokens': {message}\n"
+    assert not out.exists()

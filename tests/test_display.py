@@ -27,6 +27,12 @@ def test_group_packs_greedily():
     assert blocks[1].text == "y" * 10
 
 
+def test_group_fills_a_row_to_exactly_max_chars():
+    events = words(("x" * 41, 0.0), ("y" * 42, 1.0))  # 41 + 1 + 42 = 84
+    assert [b.char_length for b in group_word_blocks(events, max_chars=84)] == [84]
+    assert [b.char_length for b in group_word_blocks(events, max_chars=83)] == [41, 42]
+
+
 def test_group_single_word():
     (block,) = group_word_blocks(words(("Hi", 1.0)))
     assert block.char_length == 2

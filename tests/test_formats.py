@@ -4,15 +4,20 @@ import math
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from livesubs import (
+    EmissionLog,
     NonMonotonicTimeError,
     NonPositiveDurationError,
     SchemaError,
+    StreamError,
     WaitKConfig,
     close_schedule,
     export_srt,
     extract_blocks,
+    parse_token_stream,
     read_annotated_refs,
     read_log_corpus,
     schedule_block_mode,
@@ -21,7 +26,7 @@ from livesubs import (
     write_annotated_refs,
     write_log_corpus,
 )
-from livesubs.formats import SRT_END_MS, format_srt_time
+from livesubs.formats import SRT_END_MS, format_srt_time, log_from_record
 from livesubs.latency import EmptyLogError, LatencyOverflowError
 
 from conftest import make_refs, simulate_corpus
@@ -272,9 +277,93 @@ def test_decreasing_time_names_its_line():
 
 def test_corpus_writer_never_writes_non_finite_numbers():
     # The constructors check the times; consumed_source is checked when read.
-    from livesubs import EmissionLog, parse_token_stream
-
     log = EmissionLog("s", 2.0, 3, events=parse_token_stream([("a", 1.0)]),
                       consumed_source=(float("nan"),))
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_log_corpus([log], io.StringIO())
+
+
+# Faults, one or two of which are set in a valid event list, so that each
+# decides the outcome often: a time before the previous one, negative,
+# infinite (the JSON number 1e400), an integer or a bool; a surface empty
+# or with whitespace; <eos> anywhere.
+_TIME_FAULTS = [-1.0, -0.0, math.inf, -math.inf, 2, 10**6, True, False]
+_SURFACE_FAULTS = ["", " ", "a b", "a\tb", "x\u00a0y", "\u3000", "a\n", "<eos>"]
+
+
+@st.composite
+def _records(draw):
+    events = []
+    t = draw(st.floats(0.0, 5.0))
+    for _ in range(draw(st.integers(0, 6))):
+        t += draw(st.sampled_from([0.5, 0.0]) | st.floats(0.0, 3.0))
+        events.append({"t": t, "w": draw(st.sampled_from(["a", "bb", "<eol>", "<eob>", "é"]))})
+    if events and draw(st.booleans()):
+        events[-1]["w"] = "<eos>"
+    for _ in range(draw(st.integers(0, 2)) if events else 0):
+        ev = events[draw(st.integers(0, len(events) - 1))]
+        fault = draw(st.sampled_from(["earlier", "time", "surface"]))
+        if fault == "earlier":
+            ev["t"] -= 0.25 + ev["t"] / 2
+        elif fault == "time":
+            ev["t"] = draw(st.sampled_from(_TIME_FAULTS))
+        else:
+            ev["w"] = draw(st.sampled_from(_SURFACE_FAULTS))
+    record = {"id": "s", "duration": 4.0, "k": 3, "step": 0.28, "events": events}
+    if draw(st.booleans()):
+        record["g"] = [min(4.0, 0.5 * j) for j in range(len(events))]
+    return record
+
+
+def _reader_rejection(record, line):
+    """The error log_from_record(record, line) must raise, made by the
+    reader's type check or by the constructors themselves."""
+    for j, ev in enumerate(record["events"]):
+        if isinstance(ev["t"], bool):
+            return SchemaError(f"event {j} needs a number 't', got {ev!r}", line, "events")
+    raw = [(ev["w"], float(ev["t"])) for ev in record["events"]]
+    g = record.get("g")
+    try:
+        return EmissionLog(
+            record["id"], record["duration"], record["k"], record["step"],
+            events=parse_token_stream(raw),
+            consumed_source=None if g is None else tuple(map(float, g)),
+        )
+    except NonMonotonicTimeError as exc:
+        return NonMonotonicTimeError(exc.message, line, "events")
+    except StreamError as exc:
+        return SchemaError(exc.message, line, "events")
+
+
+def _events(*pairs, g=False):
+    record = {"id": "s", "duration": 4.0, "k": 3, "step": 0.28,
+              "events": [{"t": t, "w": w} for t, w in pairs]}
+    if g:
+        record["g"] = [min(4.0, 0.5 * j) for j in range(len(pairs))]
+    return record
+
+
+@settings(max_examples=300)
+@given(_records())
+@example(_events((0.5, "a"), (0.5, "<eos>"), (1.0, "b")))
+@example(_events((0.5, "a"), (0.25, "b"), g=True))
+@example(_events((-1.0, "a"), (0.5, "b")))
+@example(_events((0.5, "a"), (math.inf, "b")))
+@example(_events((0.5, "a"), (1, "b"), (True, "c")))
+@example(_events((0.5, "a"), (1.0, "")))
+@example(_events((0.5, "a"), (1.0, "x\u00a0y")))
+@example(_events((0.5, "<eos>")))
+def test_reader_checks_each_event_as_the_constructors_do(record):
+    """The reader checks the events in one pass of its own: the same log as
+    the constructors build, or the same error as they raise, re-raised
+    naming the line and field."""
+    expected = _reader_rejection(record, 7)
+    try:
+        log = log_from_record(record, 7)
+    except StreamError as exc:
+        assert isinstance(expected, StreamError), exc
+        assert type(exc) is type(expected)
+        assert (str(exc), exc.line, exc.field) == (str(expected), 7, "events")
+    else:
+        assert log == expected
+        assert all(type(ev.emit_time) is float for ev in log.events)

@@ -1,8 +1,11 @@
-"""Mutations of a valid emission-log corpus through the corpus commands.
+"""Mutations of valid inputs through the commands that read them.
 
-Whatever the mutation, evaluate, export-srt and replay either finish with
-finite numbers and two-digit SRT hours, or exit 3 (data) or 4 (I/O) with
-an error message; no exception escapes main.
+Whatever the mutation of an emission-log corpus, evaluate, export-srt and
+replay either finish with finite numbers and two-digit SRT hours, or exit 3
+(data) or 4 (I/O) with an error message. Whatever the mutation of a
+reference file, simulate either writes a corpus the reader accepts, or
+exits 2 (arguments) or 3 (data) with an error message naming the line of a
+bad reference. No exception escapes main.
 """
 
 import copy
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from livesubs import AnnotatedReference, WaitKConfig, simulate_waitk
 from livesubs.cli import main
-from livesubs.formats import log_to_record
+from livesubs.formats import log_to_record, read_log_corpus
 
 _REFS = [
     AnnotatedReference("s0", ("we", "meet", "<eol>", "at", "noon", "<eob>", "<eos>"), 2.5),
@@ -187,3 +190,88 @@ def test_mutated_corpus_is_evaluated_or_rejected(data):
         if code == 0:
             summary = out[out.rindex("\nsegment "):]
             assert "inf" not in summary and "nan" not in summary, summary
+
+
+_REF_LINES = [
+    "s0\t2.5\twe meet <eol> at noon <eob> <eos>",
+    "s1\t1.2\tthe talk starts <eob> then <eos>",
+    "s2\t1.0\tbye <eos>",
+]
+_DURATIONS = ["0", "-1", "1e400", "nan", str(10**400), "-inf", "", "0.5"]
+_REF_OPS = ["drop-tab", "add-tab", "duration", "break", "long-run"]
+# Policies whose times overflow on a long enough reference.
+_POLICIES = [
+    [],
+    ["--latency-ms", "1e308"],
+    ["--latency-ms", "1e305"],
+    ["--no-flush", "--k", "1", "--step-ms", "1e308"],
+    ["--k", "7", "--step-ms", "1e-3"],
+]
+
+
+def _mutate_ref(draw, lines: list[str]) -> None:
+    """One mutation of one drawn line of a reference file."""
+    n = draw(st.integers(0, len(lines) - 1))
+    line = lines[n]
+    op = draw(st.sampled_from(_REF_OPS))
+    if op == "drop-tab" and "\t" in line:
+        at = draw(st.sampled_from([i for i, c in enumerate(line) if c == "\t"]))
+        lines[n] = line[:at] + line[at + 1:]
+    elif op == "add-tab":
+        at = draw(st.integers(0, len(line)))
+        lines[n] = line[:at] + "\t" + line[at:]
+    elif op == "duration" and line.count("\t") == 2:
+        seg_id, _, tokens = line.split("\t")
+        lines[n] = f"{seg_id}\t{draw(st.sampled_from(_DURATIONS))}\t{tokens}"
+    elif op == "break":
+        words = line.split(" ")
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(["<eos>", "<eob>"])))
+        lines[n] = " ".join(words)
+    elif op == "long-run":
+        run = " ".join(["w"] * draw(st.sampled_from([100, 2000, 3000])))
+        head, tab, tokens = line.rpartition("\t")
+        lines[n] = f"{head}{tab}{run} {tokens}"
+
+
+@st.composite
+def _ref_files(draw) -> tuple[bytes, list[str]]:
+    lines = list(_REF_LINES)
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate_ref(draw, lines)
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        data = data[:at] + byte + data[at:]
+    return data, draw(st.sampled_from(_POLICIES))
+
+
+def _ref_file(tokens: str) -> bytes:
+    return (f"{_REF_LINES[0]}\ns1\t2.0\t{tokens}\n").encode("utf-8")
+
+
+_LONG_RUN = " ".join(["w"] * 2000) + " <eos>"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ref_files())
+@example((_ref_file("hello <eos> world <eob> <eos>"), []))
+@example((_ref_file(_LONG_RUN), ["--latency-ms", "1e308"]))
+@example((_ref_file(_LONG_RUN), ["--no-flush", "--k", "1", "--step-ms", "1e308"]))
+def test_mutated_references_are_simulated_or_rejected(case):
+    data, policy = case
+    with tempfile.TemporaryDirectory() as tmp:
+        refs = Path(tmp) / "refs.tsv"
+        refs.write_bytes(data)
+        corpus = Path(tmp) / "corpus.jsonl"
+        try:
+            code, _, err = _run(["simulate", str(refs), "--out", str(corpus), *policy])
+        except SystemExit as exc:  # an argument error
+            code, err = exc.code, ""
+        assert code in (0, 2, 3), err
+        if code == 3:
+            assert re.match(r"error: line \d+[:,]", err.splitlines()[-1]), err
+            assert not corpus.exists()
+        elif code == 0:
+            with open(corpus, encoding="utf-8") as f:
+                assert len(list(read_log_corpus(f))) == len(data.splitlines())

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import livesubs.core
+import livesubs.display
 import livesubs.report as report
 from livesubs import (
     DisplayMode,
@@ -149,6 +151,25 @@ def test_evaluate_builds_no_schedule(monkeypatch):
         monkeypatch.setattr(report, name, forbidden)
     result = evaluate_corpus(simulate_corpus(make_refs(20, seed=3), k=3))
     assert result.n_segments == 20
+
+
+def test_evaluate_builds_no_block_group_or_schedule_objects(monkeypatch):
+    """Blocks and word groups are index ranges over the lines and words: no
+    object is built only to be thrown away."""
+    logs = simulate_corpus(make_refs(40, seed=8), k=3)
+    expected = evaluate_corpus(logs)
+
+    class Forbidden:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError(f"evaluate built a {type(self).__name__}")
+
+    for module, name in (
+        (livesubs.core, "SubtitleBlock"),
+        (livesubs.display, "WordBlock"),
+        (livesubs.display, "DisplaySchedule"),
+    ):
+        monkeypatch.setattr(module, name, type(name, (Forbidden,), {}))
+    assert evaluate_corpus(logs) == expected
 
 
 def check_display_times(raw, max_row_chars=84):
