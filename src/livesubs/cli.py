@@ -36,14 +36,14 @@ from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
-from .core import StreamError, finite_delay_k
+from .core import StreamError, _columns_pass, finite_delay_k
 from .display import MAX_ROW_CHARS, DisplayMode
-from .formats import SRT_END_MS, SchemaError, export_srt, read_log_corpus, write_log_corpus
+from .formats import SRT_END_MS, SchemaError, _record_line, export_srt, read_log_corpus
 from .formats import read_annotated_refs
 from .reading_speed import MAX_CPL, MIN_CPL, RS_THRESHOLD_CPS, rs_stats
 from .report import MODE_ORDER, CorpusTally, evaluate_log, render_table
 from .report import screen_schedule, write_report
-from .waitk import WaitKConfig, simulate_waitk
+from .waitk import AnnotatedReference, WaitKConfig, _emission_columns, simulate_waitk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -192,6 +192,30 @@ def _map_chunks(fn, path: str):
                 yield pending.popleft().get()
 
 
+def _simulate_line(cfg: WaitKConfig, ref: AnnotatedReference) -> tuple[str, str]:
+    """(segment id, corpus line) of ref: the line write_log_corpus writes for
+    simulate_waitk(ref, cfg), made from the columns, which are checked once.
+    A reference they fail goes through simulate_waitk, which raises the
+    constructors' error."""
+    times, consumed = _emission_columns(ref, cfg)
+    if not _columns_pass(ref.duration, cfg.k, cfg.step_size, ref.tokens, times, consumed):
+        simulate_waitk(ref, cfg)
+    line = _record_line(
+        ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times, consumed
+    )
+    return ref.segment_id, line
+
+
+def _first_use(first_line: dict[str, int], seg_id: str, lineno: int) -> None:
+    """Note that seg_id is on line lineno; an id seen before is a SchemaError."""
+    if seg_id in first_line:
+        raise SchemaError(
+            f"duplicate segment id {seg_id!r} (first on line {first_line[seg_id]})",
+            lineno, "id",
+        )
+    first_line[seg_id] = lineno
+
+
 def cmd_simulate(args) -> int:
     cfg = WaitKConfig(
         k=args.k,
@@ -199,15 +223,20 @@ def cmd_simulate(args) -> int:
         compute_latency=args.latency_ms / 1000.0,
         flush_at_end=not args.no_flush,
     )
-    simulate = partial(simulate_waitk, cfg=cfg)
+    first_line: dict[str, int] = {}
+    lines: list[str] = []
+    # Nothing is written until every reference has passed.
     with _open_text(args.refs) as f:
-        logs = [log for _, log in _each_record(read_annotated_refs, 1, f, simulate, "tokens")]
+        simulated = _each_record(read_annotated_refs, 1, f, partial(_simulate_line, cfg), "tokens")
+        for lineno, (seg_id, line) in simulated:
+            _first_use(first_line, seg_id, lineno)
+            lines.append(line)
     out = _out_dir(args)
     out_path = out if args.out and not out.is_dir() else out / "emissions.jsonl"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as f:
-        write_log_corpus(logs, f)
-    print(f"wrote {len(logs)} emission logs to {out_path}")
+        f.writelines(lines)
+    print(f"wrote {len(lines)} emission logs to {out_path}")
     return EXIT_OK
 
 
@@ -336,12 +365,7 @@ def cmd_export_srt(args) -> int:
                     raise SchemaError(
                         f"segment id {seg_id!r} cannot name a file in {out}", lineno, "id"
                     )
-                if seg_id in first_line:
-                    raise SchemaError(
-                        f"duplicate segment id {seg_id!r} (first on line {first_line[seg_id]})",
-                        lineno, "id",
-                    )
-                first_line[seg_id] = lineno
+                _first_use(first_line, seg_id, lineno)
                 if empty:
                     print(f"warning: segment {seg_id} is empty", file=sys.stderr)
                 _write_file(f"{seg_id}.srt", data, dir_fd)

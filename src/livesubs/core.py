@@ -277,8 +277,8 @@ def _log_from_columns(
     source_duration: float,
     wait_k: int,
     step_size: float,
-    surfaces: list[str],
-    times: list[float],
+    surfaces: Sequence[str],
+    times: Sequence[float],
     consumed_source: tuple[float, ...] | None,
 ) -> EmissionLog:
     """EmissionLog(segment_id, source_duration, wait_k, step_size,
@@ -320,9 +320,9 @@ def _columns_pass(
     source_duration: float,
     wait_k: int,
     step_size: float,
-    surfaces: list[str],
-    times: list[float],
-    consumed_source: tuple[float, ...] | None,
+    surfaces: Sequence[str],
+    times: Sequence[float],
+    consumed_source: Sequence[float] | None,
 ) -> bool:
     """Whether TokenEvent, parse_token_stream and EmissionLog accept these
     fields and (surface, time) columns."""

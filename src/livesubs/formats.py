@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterable, Iterator
+from json.encoder import encode_basestring
+from typing import IO, Iterable, Iterator, Sequence
 
 from .core import (
     EmissionLog,
@@ -203,8 +204,62 @@ def read_log_corpus(source: Iterable[str], start: int = 1) -> Iterator[EmissionL
 
 def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
     for log in logs:
-        out.write(json.dumps(log_to_record(log), ensure_ascii=False, allow_nan=False))
-        out.write("\n")
+        events = log.events
+        out.write(_record_line(
+            log.segment_id, log.source_duration, log.wait_k, log.step_size,
+            [ev.surface for ev in events], [ev.emit_time for ev in events],
+            log.consumed_source,
+        ))
+
+
+def _record_line(
+    segment_id: str,
+    duration: float,
+    wait_k: int,
+    step: float,
+    surfaces: Sequence[str],
+    times: Sequence[float],
+    consumed: Sequence[float] | None,
+) -> str:
+    """The corpus line of the log of these fields and (surface, time,
+    consumed source) columns: json.dumps(log_to_record(log),
+    ensure_ascii=False, allow_nan=False) plus a newline, laid out from a
+    template, which is several times faster. consumed may be times itself,
+    whose texts are then written twice but made once."""
+    t_texts = _json_numbers(times)
+    # '{"t": t, "w": w}' per event, joined by ", ".
+    pairs = map(', "w": '.join, zip(t_texts, map(encode_basestring, surfaces)))
+    events = '{"t": ' + '}, {"t": '.join(pairs) + "}" if t_texts else ""
+    line = (
+        f'{{"id": {_json_value(segment_id)}, "duration": {_json_value(duration)}, '
+        f'"k": {_json_value(wait_k)}, "step": {_json_value(step)}, "events": [{events}]'
+    )
+    if consumed is not None:
+        g_texts = t_texts if consumed is times else _json_numbers(consumed)
+        line += f', "g": [{", ".join(g_texts)}]'
+    return line + "}\n"
+
+
+def _json_value(value) -> str:
+    """value as json.dumps(value, ensure_ascii=False, allow_nan=False) writes it."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, ensure_ascii=False, allow_nan=False)
+
+
+def _json_numbers(values: Sequence[float]) -> list[str]:
+    """Each value as _json_value writes it; finite floats, nearly every
+    value, by one pass of their repr."""
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # an int or a bool among the floats
+        return list(map(_json_value, values))
+    return texts if all(map(math.isfinite, values)) else list(map(_json_value, values))
 
 
 def read_annotated_refs(source: Iterable[str], start: int = 1):

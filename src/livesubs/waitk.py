@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EmissionLog, StreamError, parse_token_stream
+from .core import EmissionLog, StreamError, _log_from_columns
 
 __all__ = ["WaitKConfig", "AnnotatedReference", "simulate_waitk"]
 
@@ -70,20 +70,22 @@ def simulate_waitk(ref: AnnotatedReference, cfg: WaitKConfig) -> EmissionLog:
     (the greedy flush). Break tokens consume a policy step like words: the
     decoder generates them as ordinary vocabulary items.
     """
-    d = ref.duration
-    raw: list[tuple[str, float]] = []
-    consumed: list[float] = []
-    for i, surface in enumerate(ref.tokens, start=1):
-        pace = (cfg.k + i - 1) * cfg.step_size
-        g = min(d, pace)
-        t = (g if cfg.flush_at_end else pace) + i * cfg.compute_latency
-        raw.append((surface, t))
-        consumed.append(g)
-    return EmissionLog(
-        segment_id=ref.segment_id,
-        source_duration=d,
-        wait_k=cfg.k,
-        step_size=cfg.step_size,
-        events=parse_token_stream(raw),
-        consumed_source=tuple(consumed),
+    times, consumed = _emission_columns(ref, cfg)
+    return _log_from_columns(
+        ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times, tuple(consumed)
     )
+
+
+def _emission_columns(
+    ref: AnnotatedReference, cfg: WaitKConfig
+) -> tuple[list[float], list[float]]:
+    """(emission times, consumed source) of ref's tokens, as simulate_waitk
+    describes them. The two are one list when they are equal: with the
+    flush and no compute latency, t = g + i * 0.0 is g."""
+    d, k, step, latency = ref.duration, cfg.k, cfg.step_size, cfg.compute_latency
+    paces = [(k + i - 1) * step for i in range(1, len(ref.tokens) + 1)]
+    consumed = [pace if pace < d else d for pace in paces]  # min(d, pace)
+    times = consumed if cfg.flush_at_end else paces
+    if latency:
+        times = [t + i * latency for i, t in enumerate(times, start=1)]
+    return times, consumed

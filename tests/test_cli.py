@@ -5,7 +5,17 @@ import os
 
 import pytest
 
-from livesubs import read_log_corpus, write_annotated_refs
+from livesubs import (
+    AnnotatedReference,
+    EmissionLog,
+    TokenEvent,
+    WaitKConfig,
+    read_log_corpus,
+    simulate_waitk,
+    write_annotated_refs,
+    write_log_corpus,
+)
+from livesubs import core
 from livesubs.cli import main
 
 from conftest import make_refs
@@ -54,6 +64,54 @@ def test_simulate_k_monotone(tmp_path, refs_file):
         for e3, e5 in zip(l3.events, l5.events):
             assert e5.emit_time >= e3.emit_time
 
+
+
+# Non-ASCII ids and words; s2 is flushed from its second token on.
+_NON_ASCII_REFS = [
+    AnnotatedReference(
+        "séance-1", ("Bonjour", "à", "tous", "<eol>", "«", "été", "»", "<eob>", "<eos>"), 3.0
+    ),
+    AnnotatedReference("字幕2", ("東京", "で", "会い", "ましょう", "<eob>", "<eos>"), 0.9),
+    AnnotatedReference("s3", ("naïve", "<eos>"), 0.3),
+]
+_POLICIES = {
+    "default": ([], WaitKConfig(k=3)),
+    "k5-latency-no-flush": (
+        ["--k", "5", "--latency-ms", "13", "--no-flush"],
+        WaitKConfig(k=5, compute_latency=0.013, flush_at_end=False),
+    ),
+}
+
+
+def _simulated(tmp_path, argv) -> bytes:
+    refs = tmp_path / "refs.tsv"
+    with open(refs, "w", encoding="utf-8") as f:
+        write_annotated_refs(_NON_ASCII_REFS, f)
+    out = tmp_path / "e.jsonl"
+    assert main(["simulate", str(refs), "--out", str(out), *argv]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("policy", list(_POLICIES))
+def test_simulate_writes_what_the_library_writes(tmp_path, policy):
+    argv, cfg = _POLICIES[policy]
+    expected = io.StringIO()
+    write_log_corpus([simulate_waitk(ref, cfg) for ref in _NON_ASCII_REFS], expected)
+    assert _simulated(tmp_path, argv) == expected.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("policy", list(_POLICIES))
+def test_simulate_builds_no_token_objects(tmp_path, monkeypatch, policy):
+    argv = _POLICIES[policy][0]
+    expected = _simulated(tmp_path, argv)
+
+    def built(*args, **kwargs):
+        raise AssertionError("simulate built a token object")
+
+    monkeypatch.setattr(core, "parse_token_stream", built)
+    monkeypatch.setattr(TokenEvent, "__post_init__", built)
+    monkeypatch.setattr(EmissionLog, "__post_init__", built)
+    assert _simulated(tmp_path, argv) == expected
 
 def test_evaluate_table_and_report(tmp_path, logs_file, capsys):
     report_path = tmp_path / "report.json"
@@ -385,3 +443,29 @@ def test_simulate_names_the_line_of_a_reference_the_simulator_rejects(
     assert main(["simulate", str(refs), "--out", str(out), *argv]) == 3
     assert capsys.readouterr().err == f"error: line 3, field 'tokens': {message}\n"
     assert not out.exists()
+
+
+def test_simulate_rejects_duplicate_ids(tmp_path, capsys):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("s0\t2.0\ta b <eob>\ns0\t1.0\tc <eob>\n", encoding="utf-8")
+    out = tmp_path / "e.jsonl"
+    assert main(["simulate", str(refs), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: line 2, field 'id': duplicate segment id 's0' (first on line 1)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "second",
+    ["s1\t2.0\thello <eos> world <eos>", "s0\t1.0\tc <eob>"],
+    ids=["eos-first", "same-id"],
+)
+def test_simulate_rejection_leaves_the_output_file_as_it_was(tmp_path, capsys, second):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text(f"s0\t2.0\ta b <eob>\n{second}\n", encoding="utf-8")
+    out = tmp_path / "e.jsonl"
+    out.write_bytes(b'{"earlier": "corpus"}\n')
+    assert main(["simulate", str(refs), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: line 2, field ")
+    assert out.read_bytes() == b'{"earlier": "corpus"}\n'

@@ -26,7 +26,8 @@ from livesubs import (
     write_annotated_refs,
     write_log_corpus,
 )
-from livesubs.formats import SRT_END_MS, format_srt_time, log_from_record
+from livesubs.formats import SRT_END_MS, _record_line, format_srt_time, log_from_record
+from livesubs.formats import log_to_record
 from livesubs.latency import EmptyLogError, LatencyOverflowError
 
 from conftest import make_refs, simulate_corpus
@@ -282,6 +283,54 @@ def test_corpus_writer_never_writes_non_finite_numbers():
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_log_corpus([log], io.StringIO())
 
+
+
+# Numbers at the edges of float text: zero, subnormals, the smallest
+# normal, 1e16 (the first written with an exponent) and 1e308; ints too.
+_EDGE_NUMBERS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 1e308, 0, 7, 10**20]
+# Text json escapes: quotes, backslashes, control characters; and text it
+# does not: U+2028, non-ASCII, a lone surrogate.
+_EDGE_TEXT = st.text(st.sampled_from('"\\\x00\x07\x1b\x7f\u2028é字\ud800a<>/') | st.characters())
+_WORDS = st.sampled_from(["<eol>", "<eob>"]) | _EDGE_TEXT.map(
+    lambda w: "".join(w.split()).replace("<eos>", "") or "x"
+)
+
+
+@st.composite
+def _logs(draw):
+    n = draw(st.integers(0, 6))
+    times = sorted(draw(st.lists(
+        st.sampled_from(_EDGE_NUMBERS) | st.floats(0.0, 1e308), min_size=n, max_size=n,
+    )))
+    surfaces = draw(st.lists(_WORDS, min_size=n, max_size=n))
+    if surfaces and draw(st.booleans()):
+        surfaces[-1] = "<eos>"
+    positive = st.sampled_from([x for x in _EDGE_NUMBERS if x]) | st.floats(1e-300, 1e308)
+    g = draw(st.none() | st.lists(
+        st.sampled_from(_EDGE_NUMBERS) | st.floats(0.0, 1e308), min_size=n, max_size=n,
+    ))
+    return EmissionLog(
+        draw(_EDGE_TEXT), draw(positive), draw(st.integers(1, 10**20)), draw(positive),
+        parse_token_stream(zip(surfaces, times)), None if g is None else tuple(g),
+    )
+
+
+@settings(max_examples=300)
+@given(_logs())
+@example(EmissionLog("", 1, 1, 1))
+@example(EmissionLog('a"\\\n\u2028é', 1e308, 3, 5e-324,
+                     parse_token_stream([("\x00\"", 0.0), ("<eos>", 1e16)]), (0, 1e308)))
+def test_corpus_line_is_what_json_dumps_writes(log):
+    expected = json.dumps(log_to_record(log), ensure_ascii=False, allow_nan=False) + "\n"
+    assert corpus_text([log]) == expected
+    # The simulator passes one list as both times and consumed source.
+    times = [ev.emit_time for ev in log.events]
+    record = {**log_to_record(log), "g": times}
+    line = _record_line(
+        log.segment_id, log.source_duration, log.wait_k, log.step_size,
+        [ev.surface for ev in log.events], times, times,
+    )
+    assert line == json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n"
 
 # Faults, one or two of which are set in a valid event list, so that each
 # decides the outcome often: a time before the previous one, negative,
