@@ -80,8 +80,8 @@ def _emission_columns(
     ref: AnnotatedReference, cfg: WaitKConfig
 ) -> tuple[list[float], list[float]]:
     """(emission times, consumed source) of ref's tokens, as simulate_waitk
-    describes them. The two are one list when they are equal: with the
-    flush and no compute latency, t = g + i * 0.0 is g."""
+    describes them. With no compute latency t + i * 0.0 is t, so the times
+    are the paces, or with the flush the consumed-source list itself."""
     d, k, step, latency = ref.duration, cfg.k, cfg.step_size, cfg.compute_latency
     paces = [(k + i - 1) * step for i in range(1, len(ref.tokens) + 1)]
     consumed = [pace if pace < d else d for pace in paces]  # min(d, pace)
