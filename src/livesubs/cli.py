@@ -36,14 +36,14 @@ from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
-from .core import StreamError, _columns_pass, finite_delay_k
+from .core import StreamError, _check_columns, finite_delay_k
 from .display import MAX_ROW_CHARS, DisplayMode
 from .formats import SRT_END_MS, SchemaError, _record_line, export_srt, read_log_corpus
 from .formats import read_annotated_refs
 from .reading_speed import MAX_CPL, MIN_CPL, RS_THRESHOLD_CPS, rs_stats
 from .report import MODE_ORDER, CorpusTally, evaluate_log, render_table
 from .report import screen_schedule, write_report
-from .waitk import AnnotatedReference, WaitKConfig, _emission_columns, simulate_waitk
+from .waitk import AnnotatedReference, WaitKConfig, _emission_columns
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -194,12 +194,10 @@ def _map_chunks(fn, path: str):
 
 def _simulate_line(cfg: WaitKConfig, ref: AnnotatedReference) -> tuple[str, str]:
     """(segment id, corpus line) of ref: the line write_log_corpus writes for
-    simulate_waitk(ref, cfg), made from the columns, which are checked once.
-    A reference they fail goes through simulate_waitk, which raises the
-    constructors' error."""
+    simulate_waitk(ref, cfg), made from the columns once they are checked;
+    a reference they fail raises the constructors' error."""
     times, consumed = _emission_columns(ref, cfg)
-    if not _columns_pass(ref.duration, cfg.k, cfg.step_size, ref.tokens, times, consumed):
-        simulate_waitk(ref, cfg)
+    _check_columns(ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times, consumed)
     line = _record_line(
         ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times, consumed
     )

@@ -105,6 +105,17 @@ def _unbroken(text: str) -> bool:
     return text.split() == [text]
 
 
+def _check_event(surface: str, kind: TokenKind, t: float) -> None:
+    """Raise for a token that TokenEvent does not hold: an empty surface, a
+    word holding whitespace, a time that is not finite or is below 0."""
+    if not surface:
+        raise EmptySurfaceError("token surface is empty")
+    if kind is TokenKind.WORD and not _unbroken(surface):
+        raise StreamError(f"word surface contains whitespace: {surface!r}")
+    if not 0 <= t < math.inf:
+        raise StreamError(f"emission time must be finite and >= 0, got {t}")
+
+
 @dataclass(frozen=True, slots=True)
 class TokenEvent:
     """One emitted token with its emission timestamp."""
@@ -114,12 +125,7 @@ class TokenEvent:
     emit_time: float
 
     def __post_init__(self) -> None:
-        if not self.surface:
-            raise EmptySurfaceError("token surface is empty")
-        if self.kind is TokenKind.WORD and not _unbroken(self.surface):
-            raise StreamError(f"word surface contains whitespace: {self.surface!r}")
-        if not 0 <= self.emit_time < math.inf:
-            raise StreamError(f"emission time must be finite and >= 0, got {self.emit_time}")
+        _check_event(self.surface, self.kind, self.emit_time)
 
     @property
     def is_word(self) -> bool:
@@ -140,15 +146,35 @@ def parse_token_stream(
     Order and timestamps are preserved. Raises NonMonotonicTimeError if a
     timestamp decreases, EmptySurfaceError on an empty surface.
     """
-    events: list[TokenEvent] = []
-    last_t = float("-inf")
-    for surface, t in raw:
+    pairs = list(raw)
+    _check_stream(pairs)
+    return _events(pairs)
+
+
+def _check_stream(pairs: Iterable[tuple[str, float]]) -> None:
+    """Raise what parse_token_stream raises for these (surface, time) pairs:
+    the first pair whose time decreases or that TokenEvent does not hold."""
+    last_t = -math.inf
+    for surface, t in pairs:
         if t < last_t:
-            raise NonMonotonicTimeError(
-                f"emission time decreases: {t} after {last_t}"
-            )
+            raise NonMonotonicTimeError(f"emission time decreases: {t} after {last_t}")
         last_t = t
-        events.append(TokenEvent(surface, classify_surface(surface), t))
+        _check_event(surface, classify_surface(surface), t)
+
+
+def _events(pairs: Iterable[tuple[str, float]]) -> tuple[TokenEvent, ...]:
+    """The token events of checked (surface, time) pairs, built without
+    TokenEvent's checks."""
+    new = object.__new__
+    kind_of = _BREAK_KINDS.get
+    word = TokenKind.WORD
+    events = []
+    for surface, t in pairs:
+        ev = new(TokenEvent)
+        _SET_SURFACE(ev, surface)
+        _SET_KIND(ev, kind_of(surface, word))
+        _SET_EMIT_TIME(ev, t)
+        events.append(ev)
     return tuple(events)
 
 
@@ -233,31 +259,11 @@ class EmissionLog:
     consumed_source: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.source_duration < math.inf:
-            raise StreamError(
-                f"source_duration must be finite and > 0, got {self.source_duration}"
-            )
-        if not 1 <= self.wait_k < math.inf:
-            raise StreamError(f"wait_k must be finite and >= 1, got {self.wait_k}")
-        if not 0 < self.step_size < math.inf:
-            raise StreamError(f"step_size must be finite and > 0, got {self.step_size}")
-        last_t = float("-inf")
-        for i, ev in enumerate(self.events):
-            if ev.emit_time < last_t:
-                raise NonMonotonicTimeError(
-                    f"segment {self.segment_id}: emission time decreases at event {i}"
-                )
-            last_t = ev.emit_time
-            if ev.kind is TokenKind.END_OF_SEGMENT and i != len(self.events) - 1:
-                raise StreamError(
-                    f"segment {self.segment_id}: <eos> is not the last event"
-                )
-        if self.consumed_source is not None and len(self.consumed_source) != len(
-            self.events
-        ):
-            raise StreamError(
-                f"segment {self.segment_id}: consumed_source length mismatch"
-            )
+        events = self.events
+        _check_log(
+            self.segment_id, self.source_duration, self.wait_k, self.step_size,
+            [ev.emit_time for ev in events], [ev.kind for ev in events], self.consumed_source,
+        )
 
     @property
     def delay_k(self) -> float:
@@ -272,6 +278,80 @@ class EmissionLog:
         return self.events[-1].emit_time if self.events else 0.0
 
 
+def _check_log(
+    segment_id: str,
+    source_duration: float,
+    wait_k: int,
+    step_size: float,
+    times: Sequence[float],
+    kinds: Sequence[TokenKind],
+    consumed_source: Sequence[float] | None,
+) -> None:
+    """Raise what EmissionLog raises for these fields and the (time, kind)
+    columns of its events."""
+    if not 0 < source_duration < math.inf:
+        raise StreamError(f"source_duration must be finite and > 0, got {source_duration}")
+    if not 1 <= wait_k < math.inf:
+        raise StreamError(f"wait_k must be finite and >= 1, got {wait_k}")
+    if not 0 < step_size < math.inf:
+        raise StreamError(f"step_size must be finite and > 0, got {step_size}")
+    last_t = -math.inf
+    last = len(kinds) - 1
+    for i, (t, kind) in enumerate(zip(times, kinds)):
+        if t < last_t:
+            raise NonMonotonicTimeError(
+                f"segment {segment_id}: emission time decreases at event {i}"
+            )
+        last_t = t
+        if kind is TokenKind.END_OF_SEGMENT and i != last:
+            raise StreamError(f"segment {segment_id}: <eos> is not the last event")
+    if consumed_source is not None and len(consumed_source) != len(kinds):
+        raise StreamError(f"segment {segment_id}: consumed_source length mismatch")
+
+
+def _check_columns(
+    segment_id: str,
+    source_duration: float,
+    wait_k: int,
+    step_size: float,
+    surfaces: Sequence[str],
+    times: Sequence[float],
+    consumed_source: Sequence[float] | None,
+) -> None:
+    """Raise what EmissionLog(segment_id, source_duration, wait_k, step_size,
+    parse_token_stream(zip(surfaces, times)), consumed_source) raises, of the
+    same type and text; surfaces and times are of one length.
+
+    One pass over the columns tests every rule at once. Only when that test
+    fails are the rules walked in the constructors' order, to raise the
+    first one broken.
+    """
+    last = 0.0
+    for t in times:
+        if not last <= t < math.inf:  # in order, finite and >= 0
+            break
+        last = t
+    else:
+        if (
+            0 < source_duration < math.inf
+            and 1 <= wait_k < math.inf
+            and 0 < step_size < math.inf
+            and (consumed_source is None or len(consumed_source) == len(times))
+            and (
+                not surfaces
+                # no surface is empty or holds whitespace, and <eos> is last
+                or ("" not in surfaces and _unbroken("".join(surfaces))
+                    and EOS_SURFACE not in surfaces[:-1])
+            )
+        ):
+            return
+    _check_stream(zip(surfaces, times))
+    _check_log(
+        segment_id, source_duration, wait_k, step_size,
+        times, [classify_surface(s) for s in surfaces], consumed_source,
+    )
+
+
 def _log_from_columns(
     segment_id: str,
     source_duration: float,
@@ -283,66 +363,21 @@ def _log_from_columns(
 ) -> EmissionLog:
     """EmissionLog(segment_id, source_duration, wait_k, step_size,
     parse_token_stream(zip(surfaces, times)), consumed_source): the same log,
-    or the same error.
-
-    Every check those constructors make is made once, on the whole columns;
-    when all pass, the events and the log are built without making them
-    again.
-    """
-    if not _columns_pass(source_duration, wait_k, step_size, surfaces, times, consumed_source):
-        return EmissionLog(
-            segment_id, source_duration, wait_k, step_size,
-            parse_token_stream(zip(surfaces, times)), consumed_source,
-        )
-    new = object.__new__
-    kind_of = _BREAK_KINDS.get
-    word = TokenKind.WORD
-    events = []
-    for surface, t in zip(surfaces, times):
-        ev = new(TokenEvent)
-        _SET_SURFACE(ev, surface)
-        _SET_KIND(ev, kind_of(surface, word))
-        _SET_EMIT_TIME(ev, t)
-        events.append(ev)
-    log = new(EmissionLog)
+    or the same error, checked once by _check_columns and built without the
+    constructors' checks."""
+    _check_columns(
+        segment_id, source_duration, wait_k, step_size, surfaces, times, consumed_source
+    )
+    log = object.__new__(EmissionLog)
     vars(log).update(
         segment_id=segment_id,
         source_duration=source_duration,
         wait_k=wait_k,
         step_size=step_size,
-        events=tuple(events),
+        events=_events(zip(surfaces, times)),
         consumed_source=consumed_source,
     )
     return log
-
-
-def _columns_pass(
-    source_duration: float,
-    wait_k: int,
-    step_size: float,
-    surfaces: Sequence[str],
-    times: Sequence[float],
-    consumed_source: Sequence[float] | None,
-) -> bool:
-    """Whether TokenEvent, parse_token_stream and EmissionLog accept these
-    fields and (surface, time) columns."""
-    last = 0.0
-    for t in times:
-        if not last <= t < math.inf:  # in order, finite and >= 0
-            return False
-        last = t
-    return (
-        0 < source_duration < math.inf
-        and 1 <= wait_k < math.inf
-        and 0 < step_size < math.inf
-        and (consumed_source is None or len(consumed_source) == len(times))
-        and (
-            not surfaces
-            # no surface is empty or holds whitespace, and <eos> is last
-            or ("" not in surfaces and _unbroken("".join(surfaces))
-                and EOS_SURFACE not in surfaces[:-1])
-        )
-    )
 
 
 def extract_blocks(events: Sequence[TokenEvent]) -> tuple[SubtitleBlock, ...]:

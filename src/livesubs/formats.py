@@ -79,37 +79,45 @@ def _utf8(text: str) -> bool:
     return True
 
 
-def _require(record: dict, field: str, types: tuple[type, ...], line: int | None):
+# The JSON types of the fields of a corpus record.
+_TYPES = {
+    "id": (str,), "duration": (int, float), "k": (int,), "step": (int, float), "events": (list,),
+}
+
+
+def _require(record: dict, field: str, line: int | None):
     value = record.get(field)
+    types = _TYPES[field]
     if type(value) in types:  # nearly every value; never a bool
         return value
     if field not in record:
         raise SchemaError("missing", line, field)
     if not isinstance(value, types) or isinstance(value, bool):
-        raise SchemaError(f"expected {types[0].__name__}, got {value!r}", line, field)
+        expected = "a number" if float in types else types[0].__name__
+        raise SchemaError(f"expected {expected}, got {value!r}", line, field)
     return value
 
 
 def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
     """Build an EmissionLog from one parsed interchange record."""
-    seg_id = _require(record, "id", (str,), line)
+    seg_id = _require(record, "id", line)
     if not seg_id.isascii() and not _utf8(seg_id):
         raise SchemaError(f"not UTF-8 text: {seg_id!r}", line, "id")
     # The constructors check these ranges too, but only the reader knows the field.
-    duration = _float(_require(record, "duration", (int, float), line), line, "duration")
+    duration = _float(_require(record, "duration", line), line, "duration")
     if duration <= 0:
         raise NonPositiveDurationError("duration must be > 0", line, "duration")
     if not duration < math.inf:
         raise SchemaError("duration must be finite", line, "duration")
-    k = _require(record, "k", (int,), line)
+    k = _require(record, "k", line)
     if k < 1:
         raise SchemaError("k must be >= 1", line, "k")
-    step = _float(_require(record, "step", (int, float), line), line, "step")
+    step = _float(_require(record, "step", line), line, "step")
     if not 0 < step < math.inf:
         raise SchemaError("step must be finite and > 0", line, "step")
     if not finite_delay_k(k, step):
         raise SchemaError("step * k must be a finite number of seconds", line, "k")
-    raw_events = _require(record, "events", (list,), line)
+    raw_events = _require(record, "events", line)
     surfaces: list[str] = []
     times: list[float] = []
     for j, ev in enumerate(raw_events):
@@ -203,13 +211,20 @@ def read_log_corpus(source: Iterable[str], start: int = 1) -> Iterator[EmissionL
 
 
 def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
+    """Write each log as one corpus line. A field of a type the reader
+    rejects raises the reader's SchemaError, naming the field, and nothing of
+    that log is written."""
     for log in logs:
         events = log.events
-        out.write(_record_line(
+        line = _record_line(
             log.segment_id, log.source_duration, log.wait_k, log.step_size,
             [ev.surface for ev in events], [ev.emit_time for ev in events],
             log.consumed_source,
-        ))
+        )
+        record = log_to_record(log)
+        for field in _TYPES:
+            _require(record, field, None)
+        out.write(line)
 
 
 def _record_line(
@@ -275,28 +290,49 @@ def read_annotated_refs(source: Iterable[str], start: int = 1):
             raise SchemaError(
                 f"expected 3 tab-separated fields, got {len(parts)}", lineno, None
             )
-        seg_id, dur_text, token_text = parts
-        if not _utf8(seg_id):
-            raise SchemaError(f"not UTF-8 text: {seg_id!r}", lineno, "id")
-        try:
-            duration = float(dur_text)
-        except ValueError as exc:
-            raise SchemaError(f"bad duration {dur_text!r}", lineno, "duration") from exc
-        if not math.isfinite(duration):
-            raise SchemaError(f"non-finite duration {dur_text!r}", lineno, "duration")
-        if duration <= 0:
-            raise NonPositiveDurationError("duration must be > 0", lineno, "duration")
-        if not _utf8(token_text):
-            raise SchemaError(f"not UTF-8 text: {token_text!r}", lineno, "tokens")
-        tokens = tuple(token_text.split())
-        if not tokens:
-            raise SchemaError("no tokens", lineno, "tokens")
-        yield AnnotatedReference(seg_id, tokens, duration)
+        yield AnnotatedReference(*_ref_fields(*parts, lineno))
+
+
+def _ref_fields(
+    seg_id: str, dur_text: str, token_text: str, lineno: int | None
+) -> tuple[str, tuple[str, ...], float]:
+    """(id, tokens, duration), the fields of AnnotatedReference, of the three
+    fields of a reference line."""
+    if not _utf8(seg_id):
+        raise SchemaError(f"not UTF-8 text: {seg_id!r}", lineno, "id")
+    try:
+        duration = float(dur_text)
+    except ValueError as exc:
+        raise SchemaError(f"bad duration {dur_text!r}", lineno, "duration") from exc
+    if not math.isfinite(duration):
+        raise SchemaError(f"non-finite duration {dur_text!r}", lineno, "duration")
+    if duration <= 0:
+        raise NonPositiveDurationError("duration must be > 0", lineno, "duration")
+    if not _utf8(token_text):
+        raise SchemaError(f"not UTF-8 text: {token_text!r}", lineno, "tokens")
+    tokens = tuple(token_text.split())
+    if not tokens:
+        raise SchemaError("no tokens", lineno, "tokens")
+    return seg_id, tokens, duration
 
 
 def write_annotated_refs(refs, out: IO[str]) -> None:
+    """Write each reference as one line. A reference the reader would
+    reject, or read back as another, raises a SchemaError naming the field,
+    and nothing of it is written."""
     for ref in refs:
-        out.write(f"{ref.segment_id}\t{ref.duration}\t{' '.join(ref.tokens)}\n")
+        fields = (f"{ref.segment_id}", f"{ref.duration}", " ".join(ref.tokens))
+        # A tab splits the line's fields; a line break, as a file is read
+        # (universal newlines), the line.
+        for name, text in (("id", fields[0]), ("tokens", fields[2])):
+            if {"\t", "\n", "\r"}.intersection(text):
+                raise SchemaError(f"a tab or line break splits the line: {text!r}", None, name)
+        back = _ref_fields(*fields, None)
+        written = (ref.segment_id, ref.tokens, ref.duration)
+        for name, value, read in zip(("id", "tokens", "duration"), written, back):
+            if read != value:
+                raise SchemaError(f"{value!r} is read back as {read!r}", None, name)
+        out.write("\t".join(fields) + "\n")
 
 
 # SRT times have two hour digits, so they end before 100 h: format_srt_time

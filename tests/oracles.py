@@ -1,13 +1,51 @@
 """Independent brute-force oracles.
 
-Naive, literal implementations of the metric definitions, kept deliberately
-separate from the package: recursive elapsed-time evaluation, per-word screen
-accounting and a plain SRT reader. Tests compare the package against these.
+Naive, literal implementations of the metric definitions and of the rules on
+an emission log's columns, kept deliberately separate from the package:
+recursive elapsed-time evaluation, per-word screen accounting, a plain SRT
+reader and a per-event rule walk. Tests compare the package against these.
 """
 
 from __future__ import annotations
 
 BREAKS = {"<eol>", "<eob>", "<eos>"}
+
+
+def naive_log_fault(segment_id, duration, k, step, surfaces, times, consumed):
+    """What EmissionLog(segment_id, duration, k, step,
+    parse_token_stream(zip(surfaces, times)), consumed) raises, as (error
+    class name, text), or None when it builds.
+
+    The rules, first broken first: for each event in turn, a time below the
+    one before, an empty surface, a word (any surface but a break symbol)
+    holding whitespace, a time that is not a finite number >= 0; then the
+    duration (a finite number > 0), k (a finite number >= 1) and the step
+    (as the duration); then <eos> anywhere but last; then a consumed-source
+    list of another length than the events.
+    """
+    previous = None
+    for surface, t in zip(surfaces, times):
+        if previous is not None and t < previous:
+            return "NonMonotonicTimeError", f"emission time decreases: {t} after {previous}"
+        previous = t
+        if surface == "":
+            return "EmptySurfaceError", "token surface is empty"
+        if surface not in BREAKS and any(c.isspace() for c in surface):
+            return "StreamError", f"word surface contains whitespace: {surface!r}"
+        if not (t >= 0 and t != float("inf")):  # NaN is not >= 0
+            return "StreamError", f"emission time must be finite and >= 0, got {t}"
+    if not (duration > 0 and duration != float("inf")):
+        return "StreamError", f"source_duration must be finite and > 0, got {duration}"
+    if not (k >= 1 and k != float("inf")):
+        return "StreamError", f"wait_k must be finite and >= 1, got {k}"
+    if not (step > 0 and step != float("inf")):
+        return "StreamError", f"step_size must be finite and > 0, got {step}"
+    for i, surface in enumerate(surfaces):
+        if surface == "<eos>" and i != len(surfaces) - 1:
+            return "StreamError", f"segment {segment_id}: <eos> is not the last event"
+    if consumed is not None and len(consumed) != len(surfaces):
+        return "StreamError", f"segment {segment_id}: consumed_source length mismatch"
+    return None
 
 
 def naive_elapsed_word(times: list[float], i: int, next_start: float | None, delay_k: float) -> float:

@@ -341,11 +341,14 @@ def _set(path, value):
         (_set(("step",), 0), "step"),
         (_set(("step",), math.inf), "step"),
         (_set(("duration",), math.inf), "duration"),
+        (_set(("duration",), "2"), "duration"),
+        (_set(("step",), None), "step"),
     ],
     ids=["t-string", "t-bool", "w-number", "t-decreasing", "g-string", "g-negative",
          "g-decreasing", "g-past-duration", "k-huge", "step-times-k-infinite",
          "duration-int-too-large", "t-int-too-large", "t-negative", "w-empty", "w-space",
-         "eos-before-word", "k-zero", "step-zero", "step-1e400", "duration-1e400"],
+         "eos-before-word", "k-zero", "step-zero", "step-1e400", "duration-1e400",
+         "duration-string", "step-null"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "export-srt"])
 def test_mistyped_or_inconsistent_fields_exit_3(tmp_path, logs_file, capsys, command, edit, field):

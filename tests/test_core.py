@@ -8,6 +8,7 @@ from livesubs import (
     NonMonotonicTimeError,
     StreamError,
     Terminator,
+    TokenEvent,
     TokenKind,
     delay_k_seconds,
     extract_blocks,
@@ -119,6 +120,21 @@ def test_emission_log_validation():
     with pytest.raises(StreamError):
         EmissionLog("s", 2.0, 3, events=parse_token_stream([("<eos>", 0.5), ("a", 1.0)]))
 
+
+
+def test_directly_built_objects_keep_their_rules():
+    # The kind, not the surface, decides the whitespace and <eos> rules.
+    assert TokenEvent("a b", TokenKind.END_OF_LINE, 1.0).surface == "a b"
+    with pytest.raises(StreamError, match="^segment s: <eos> is not the last event$"):
+        EmissionLog("s", 2.0, 3, events=(
+            TokenEvent("x", TokenKind.END_OF_SEGMENT, 0.5), TokenEvent("a", TokenKind.WORD, 1.0),
+        ))
+    # Events built outside parse_token_stream may be out of order.
+    decrease = "^segment s: emission time decreases at event 1$"
+    with pytest.raises(NonMonotonicTimeError, match=decrease):
+        EmissionLog("s", 2.0, 3, events=(
+            TokenEvent("a", TokenKind.WORD, 1.0), TokenEvent("b", TokenKind.WORD, 0.5),
+        ))
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from livesubs import (
+    AnnotatedReference,
     EmissionLog,
     NonMonotonicTimeError,
     NonPositiveDurationError,
@@ -27,11 +29,12 @@ from livesubs import (
     write_log_corpus,
 )
 from livesubs.formats import SRT_END_MS, _record_line, format_srt_time, log_from_record
+from livesubs.core import _check_columns
 from livesubs.formats import log_to_record
 from livesubs.latency import EmptyLogError, LatencyOverflowError
 
 from conftest import make_refs, simulate_corpus
-from oracles import parse_srt
+from oracles import naive_log_fault, parse_srt
 
 
 def corpus_text(logs):
@@ -416,3 +419,185 @@ def test_reader_checks_each_event_as_the_constructors_do(record):
     else:
         assert log == expected
         assert all(type(ev.emit_time) is float for ev in log.events)
+
+
+# Faults in the fields of a log: not a number, not finite, out of range, a
+# bool (which the rules take for 0 or 1) and an integer no float holds.
+_PARAM_FAULTS = [0, -1.0, 0.5, math.inf, -math.inf, math.nan, True, 10**400]
+
+
+@st.composite
+def _columns(draw):
+    """(id, duration, k, step, surfaces, times, consumed) of a valid log,
+    with up to three faults set in it."""
+    n = draw(st.integers(0, 6))
+    times = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    surfaces = draw(st.lists(
+        st.sampled_from(["a", "bb", "<eol>", "<eob>", "é"]), min_size=n, max_size=n,
+    ))
+    if surfaces and draw(st.booleans()):
+        surfaces[-1] = "<eos>"
+    params = [4.0, 3, 0.28]
+    consumed = draw(st.none() | st.just(list(times)))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["earlier", "time", "surface", "consumed", "param"]))
+        j = draw(st.integers(0, n - 1)) if n else None
+        if fault == "earlier" and n:
+            times[j] -= 0.25 + times[j] / 2
+        elif fault == "time" and n:
+            times[j] = draw(st.sampled_from(_TIME_FAULTS))
+        elif fault == "surface" and n:
+            surfaces[j] = draw(st.sampled_from(_SURFACE_FAULTS))
+        elif fault == "consumed":
+            consumed = [0.0] * draw(st.sampled_from([m for m in (0, n + 1, n - 1) if m >= 0]))
+        elif fault == "param":
+            params[draw(st.integers(0, 2))] = draw(st.sampled_from(_PARAM_FAULTS))
+    return ("s", *params, surfaces, times, consumed)
+
+
+@settings(max_examples=500)
+@given(_columns())
+@example(("s", 4.0, 3, 0.28, ["a", "<eos>", ""], [0.5, 0.25, 1.0], None))
+@example(("s", math.nan, 0, 0.28, ["a", "b"], [0.5, 1.0], [0.0]))
+@example(("s", 4.0, 3, -1.0, ["<eos>", "a"], [0.5, 1.0], [0.0]))
+@example(("s", 4.0, 3, 0.28, ["a"], [0.5], [0.0, 0.0]))
+@example(("s", 4.0, 3, 0.28, ["a\n"], [math.inf], None))
+def test_checker_raises_what_the_oracle_names(columns):
+    """The column checker, and the constructors it stands in for, accept
+    what the oracle accepts and raise the oracle's error otherwise."""
+    expected = naive_log_fault(*columns)
+    seg_id, duration, k, step, surfaces, times, consumed = columns
+    runs = [
+        lambda: _check_columns(*columns),
+        lambda: EmissionLog(
+            seg_id, duration, k, step, parse_token_stream(zip(surfaces, times)), consumed
+        ),
+    ]
+    for run in runs:
+        try:
+            run()
+        except StreamError as exc:
+            assert expected is not None, exc
+            assert (type(exc).__name__, str(exc), exc.field) == (*expected, None)
+        else:
+            assert expected is None
+
+
+# Text without lone surrogates, which no UTF-8 file holds.
+_TEXT = _EDGE_TEXT.filter(lambda text: not any("\ud800" <= c <= "\udfff" for c in text))
+# Fields of a type the reader rejects, each with a value EmissionLog holds.
+_TYPE_FAULTS = [("segment_id", 5), ("segment_id", None), ("source_duration", True),
+                ("wait_k", True), ("wait_k", 3.0), ("step_size", True)]
+
+
+@st.composite
+def _writable_logs(draw):
+    """A log whose fields and events the reader accepts, or one whose field
+    is of a type it rejects."""
+    n = draw(st.integers(0, 6))
+    duration = draw(st.sampled_from([1, 7, 1e-300]) | st.floats(1e-300, 1e300))
+    times = sorted(draw(st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n)))
+    words = st.sampled_from(["<eol>", "<eob>"]) | _TEXT.map(
+        lambda w: "".join(w.split()).replace("<", "") or "x"
+    )
+    surfaces = draw(st.lists(words, min_size=n, max_size=n))
+    if surfaces and draw(st.booleans()):
+        surfaces[-1] = "<eos>"
+    g = draw(st.none() | st.lists(st.floats(0.0, duration), min_size=n, max_size=n).map(sorted))
+    log = EmissionLog(
+        draw(_TEXT), duration, draw(st.integers(1, 1000)), draw(st.floats(1e-3, 1e3)),
+        parse_token_stream(zip(surfaces, times)), None if g is None else tuple(g),
+    )
+    fault = draw(st.none() | st.sampled_from(_TYPE_FAULTS))
+    return log if fault is None else dataclasses.replace(log, **dict([fault]))
+
+
+@settings(max_examples=300)
+@given(_writable_logs())
+@example(EmissionLog(5, 1.0, 3))
+@example(EmissionLog("s", 1.0, True))
+@example(EmissionLog("s", 1.0, 3.0))
+@example(EmissionLog("s", True, 3))
+def test_log_corpus_round_trips_or_is_refused(log):
+    """read(write(log)) == log for every log the writer accepts. A log it
+    refuses is one whose line the reader rejects, naming the same field."""
+    line = json.dumps(log_to_record(log), ensure_ascii=False, allow_nan=False) + "\n"
+    try:
+        text = corpus_text([log])
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as read:
+            list(read_log_corpus([line]))
+        assert (exc.line, exc.field) == (None, read.value.field)
+        assert exc.message == read.value.message
+    else:
+        assert text == line
+        assert list(read_log_corpus([text])) == [log]
+
+
+def _read_refs(text):
+    # Universal newlines, as the commands open a file: \r ends a line too.
+    return list(read_annotated_refs(io.StringIO(text, newline=None)))
+
+
+_REF_TEXT = st.text(st.sampled_from("ab <>\t\n\r\x0b\u2028é\ud800"), max_size=4)
+
+
+@st.composite
+def _refs(draw):
+    tokens = draw(st.lists(
+        _REF_TEXT | st.sampled_from(["<eol>", "<eob>", "word"]), min_size=1, max_size=4,
+    ))
+    return AnnotatedReference(
+        draw(_REF_TEXT | st.sampled_from([5, None])), tuple(tokens),
+        draw(st.floats(1e-300, 1e300) | st.sampled_from([True, 2, 0.1, 10**400])),
+    )
+
+
+@settings(max_examples=300)
+@given(_refs())
+@example(AnnotatedReference("a\tb", ("x",), 1.0))
+@example(AnnotatedReference("a\nb", ("x",), 1.0))
+@example(AnnotatedReference("a\rb", ("x",), 1.0))
+@example(AnnotatedReference(5, ("x",), 1.0))
+@example(AnnotatedReference("s", ("x y",), 1.0))
+@example(AnnotatedReference("s", ("", "x"), 1.0))
+@example(AnnotatedReference("s", ("x",), True))
+@example(AnnotatedReference("s\ud800", ("x",), 1.0))
+def test_refs_round_trip_or_are_refused(ref):
+    """read(write(ref)) == [ref] for every reference the writer accepts. A
+    reference it refuses is one that the reader rejects or reads back as
+    another; on a line that no tab or line break splits, the reader names
+    the writer's field."""
+    line = f"{ref.segment_id}\t{ref.duration}\t{' '.join(ref.tokens)}\n"
+    split = line[:-1].count("\t") != 2 or "\n" in line[:-1] or "\r" in line
+    out = io.StringIO()
+    try:
+        write_annotated_refs([ref], out)
+    except SchemaError as exc:
+        assert out.getvalue() == ""
+        assert exc.line is None and exc.field in ("id", "tokens", "duration")
+        try:
+            back = _read_refs(line)
+        except SchemaError as read:
+            assert split or read.field == exc.field
+        else:
+            assert back != [ref]
+    else:
+        assert out.getvalue() == line
+        assert _read_refs(line) == [ref]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("duration", "2", "expected a number, got '2'"),
+        ("step", None, "expected a number, got None"),
+        ("k", 3.0, "expected int, got 3.0"),
+        ("id", 5, "expected str, got 5"),
+    ],
+)
+def test_a_field_of_the_wrong_type_names_the_type(field, value, message):
+    record = {"id": "s", "duration": 2.0, "k": 3, "step": 0.28, "events": [], field: value}
+    with pytest.raises(SchemaError) as info:
+        log_from_record(record, 4)
+    assert str(info.value) == f"line 4, field {field!r}: {message}"
