@@ -20,6 +20,12 @@ does not depend on the worker count. An evaluate worker sends back one
 CorpusTally per run (floats, counts and ids), an export-srt worker the
 rendered SRT files.
 
+The three corpus commands check each record they read by the same rules.
+evaluate reads each record as an EmissionLog (read_log_corpus). export-srt
+and replay read only its checked columns (id, parameters, surfaces, times):
+export-srt renders the SRT text straight from them, and replay builds the
+log of the one segment it shows.
+
 Input files must be UTF-8 text: an undecodable byte, or a lone surrogate
 escaped in a record's id or words, is a data error that names its line.
 """
@@ -36,10 +42,10 @@ from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
-from .core import StreamError, _check_columns, finite_delay_k
+from .core import StreamError, _built_log, _check_columns, delay_k_seconds, finite_delay_k
 from .display import MAX_ROW_CHARS, DisplayMode
-from .formats import SRT_END_MS, SchemaError, _record_line, export_srt, read_log_corpus
-from .formats import read_annotated_refs
+from .formats import SRT_END_MS, SchemaError, _read_columns, _record_line, _srt_of_columns
+from .formats import read_annotated_refs, read_log_corpus
 from .reading_speed import MAX_CPL, MIN_CPL, RS_THRESHOLD_CPS, rs_stats
 from .report import MODE_ORDER, CorpusTally, evaluate_log, render_table
 from .report import screen_schedule, write_report
@@ -281,15 +287,17 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    def measure(log):
+    def measure(columns):
         # Before any frame is shown: a segment whose latency no float holds shows none.
-        if log.segment_id == args.segment:
+        if columns[0] == args.segment:
+            log = _built_log(*columns)
             return log, evaluate_log(log, max_row_chars=args.max_row_chars)
         return None
 
-    # Stream the corpus and stop at the first match: later records are not read.
+    # Check the records up to the first match, build its log alone, and stop:
+    # later records are not read.
     with _open_text(args.logs) as f:
-        measured = (x for _, x in _each_record(read_log_corpus, 1, f, measure))
+        measured = (x for _, x in _each_record(_read_columns, 1, f, measure))
         found = next((x for x in measured if x is not None), None)
     if found is None:
         print(f"error: unknown segment id {args.segment!r}", file=sys.stderr)
@@ -317,21 +325,24 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _render_srt(log) -> tuple[str, bytes, bool]:
-    """(segment id, SRT file contents, no cues) of one log."""
+def _render_srt(columns) -> tuple[str, bytes, bool]:
+    """(segment id, SRT file contents, no cues) of one record's checked columns."""
+    seg_id, _, k, step, surfaces, times, _ = columns
     # The last cue ends last, at end_time + delay_k, which may be infinite.
-    if not 1000.0 * (log.end_time + log.delay_k) < SRT_END_MS:
-        field = "k" if 1000.0 * log.end_time < SRT_END_MS else "events"
+    end_time = times[-1] if times else 0.0
+    last_end = end_time + delay_k_seconds(k, step)
+    if not 1000.0 * last_end < SRT_END_MS:
+        field = "k" if 1000.0 * end_time < SRT_END_MS else "events"
         raise SchemaError(
-            f"segment {log.segment_id}: the last cue ends past the largest SRT time", None, field
+            f"segment {seg_id}: the last cue ends past the largest SRT time", None, field
         )
-    schedule = screen_schedule(log, DisplayMode.BLOCKS)
-    return log.segment_id, export_srt(schedule).encode("utf-8"), not schedule.states
+    text = _srt_of_columns(surfaces, times, last_end)
+    return seg_id, text.encode("utf-8"), not text
 
 
 def _render_srt_chunk(chunk) -> list[tuple[int, tuple[str, bytes, bool]]]:
     """(line number, (segment id, SRT file contents, no cues)) per record."""
-    return list(_each_record(read_log_corpus, *chunk, _render_srt))
+    return list(_each_record(_read_columns, *chunk, _render_srt))
 
 
 _UNSAFE_ID_CHARS = {c for c in ("/", os.sep, os.altsep, "\0") if c}

@@ -352,7 +352,7 @@ def _check_columns(
     )
 
 
-def _log_from_columns(
+def _built_log(
     segment_id: str,
     source_duration: float,
     wait_k: int,
@@ -362,12 +362,8 @@ def _log_from_columns(
     consumed_source: tuple[float, ...] | None,
 ) -> EmissionLog:
     """EmissionLog(segment_id, source_duration, wait_k, step_size,
-    parse_token_stream(zip(surfaces, times)), consumed_source): the same log,
-    or the same error, checked once by _check_columns and built without the
-    constructors' checks."""
-    _check_columns(
-        segment_id, source_duration, wait_k, step_size, surfaces, times, consumed_source
-    )
+    parse_token_stream(zip(surfaces, times)), consumed_source) of columns
+    that _check_columns has passed, built without the constructors' checks."""
     log = object.__new__(EmissionLog)
     vars(log).update(
         segment_id=segment_id,
@@ -439,3 +435,28 @@ def _block_stops(lines: Sequence[SubtitleLine]) -> list[int]:
     if len(lines) > (stops[-1] if stops else 0):
         stops.append(len(lines))
     return stops
+
+
+def _block_rows(surfaces: Sequence[str], times: Sequence[float]) -> list[tuple[float, list[str]]]:
+    """(block_time, line texts) of each block of extract_blocks over the
+    events of these checked (surface, time) columns, cut from the columns."""
+    blocks = []
+    rows: list[str] = []
+    start = 0
+    line_time = 0.0
+    for i in [i for i, s in enumerate(surfaces) if s == EOL_SURFACE or s == EOB_SURFACE]:
+        rows.append(" ".join(surfaces[start:i]))
+        start = i + 1
+        line_time = times[i]
+        if surfaces[i] == EOB_SURFACE:
+            blocks.append((line_time, rows))
+            rows = []
+    # The words after the last break, up to <eos> (always last), form an
+    # implicit line at the last event's time.
+    stop = len(surfaces) - 1 if surfaces and surfaces[-1] == EOS_SURFACE else len(surfaces)
+    if start < stop:
+        rows.append(" ".join(surfaces[start:stop]))
+        line_time = times[-1]
+    if rows:
+        blocks.append((line_time, rows))
+    return blocks

@@ -15,14 +15,19 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from json.encoder import encode_basestring
+from operator import le
 from typing import IO, Iterable, Iterator, Sequence
 
 from .core import (
     EmissionLog,
     NonMonotonicTimeError,
     StreamError,
-    _log_from_columns,
+    _block_rows,
+    _built_log,
+    _check_columns,
+    classify_surface,
     finite_delay_k,
 )
 from .display import DisplayMode, DisplaySchedule
@@ -100,6 +105,62 @@ def _require(record: dict, field: str, line: int | None):
 
 def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
     """Build an EmissionLog from one parsed interchange record."""
+    return _built_log(*_record_columns(record, line))
+
+
+def _record_columns(record: dict, line: int | None) -> tuple:
+    """(id, duration, k, step, surfaces, times, g) of one parsed interchange
+    record: the columns log_from_record builds its log of, checked by every
+    rule it applies, which raise what it raises."""
+    columns = _plain_columns(record) or _walked_columns(record, line)
+    # Whatever the constructors still reject is about the events.
+    try:
+        _check_columns(*columns)
+    except NonMonotonicTimeError as exc:
+        raise NonMonotonicTimeError(exc.message, line, "events") from exc
+    except StreamError as exc:
+        raise SchemaError(exc.message, line, "events") from exc
+    return columns
+
+
+_FLOAT = frozenset([float])
+
+
+def _plain_columns(record: dict) -> tuple | None:
+    """The columns of a record of float numbers that passes every field,
+    event and 'g' rule of _walked_columns, tested at once; nearly every
+    record is one. None for any other record."""
+    seg_id, duration, k = record.get("id"), record.get("duration"), record.get("k")
+    step, events, g = record.get("step"), record.get("events"), record.get("g")
+    if not (
+        type(seg_id) is str and type(duration) is float and type(k) is int
+        and type(step) is float and type(events) is list
+        and 0 < duration < math.inf and 1 <= k and 0 < step < math.inf
+        and finite_delay_k(k, step) and (seg_id.isascii() or _utf8(seg_id))
+    ):
+        return None
+    try:
+        surfaces = [ev["w"] for ev in events]
+        times = [ev["t"] for ev in events]
+        text = "".join(surfaces)  # a TypeError unless every 'w' is a string
+    except (TypeError, KeyError):  # an event that is not an object with both
+        return None
+    if not (_FLOAT.issuperset(map(type, times)) and (text.isascii() or _utf8(text))):
+        return None
+    if g is not None:
+        if not (
+            type(g) is list and len(g) == len(times) and _FLOAT.issuperset(map(type, g))
+            and (not g or 0.0 <= g[0] and g[-1] <= duration)
+            and all(map(le, g, islice(g, 1, None)))
+        ):
+            return None
+        g = tuple(g)
+    return seg_id, duration, k, step, surfaces, times, g
+
+
+def _walked_columns(record: dict, line: int | None) -> tuple:
+    """The columns of a record, its fields and events read one by one:
+    the first rule broken raises, naming its field."""
     seg_id = _require(record, "id", line)
     if not seg_id.isascii() and not _utf8(seg_id):
         raise SchemaError(f"not UTF-8 text: {seg_id!r}", line, "id")
@@ -117,17 +178,12 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
         raise SchemaError("step must be finite and > 0", line, "step")
     if not finite_delay_k(k, step):
         raise SchemaError("step * k must be a finite number of seconds", line, "k")
-    raw_events = _require(record, "events", line)
     surfaces: list[str] = []
     times: list[float] = []
-    for j, ev in enumerate(raw_events):
+    for j, ev in enumerate(_require(record, "events", line)):
         if not isinstance(ev, dict) or "t" not in ev or "w" not in ev:
             raise SchemaError(f"event {j} needs 't' and 'w'", line, "events")
-        w, t = ev["w"], ev["t"]
-        if type(t) is not float:  # nearly every t is
-            if not _is_number(t):
-                raise SchemaError(f"event {j} needs a number 't', got {ev!r}", line, "events")
-            t = _float(t, line, "events")
+        w, t = ev["w"], _event_time(j, ev, line)
         if not isinstance(w, str):
             raise SchemaError(f"event {j} needs a string 'w', got {ev!r}", line, "events")
         if not w.isascii() and not _utf8(w):
@@ -147,13 +203,17 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
                 )
             last = x
         g = tuple(map(float, g))
-    # Whatever the constructors still reject is about the events.
-    try:
-        return _log_from_columns(seg_id, duration, k, step, surfaces, times, g)
-    except NonMonotonicTimeError as exc:
-        raise NonMonotonicTimeError(exc.message, line, "events") from exc
-    except StreamError as exc:
-        raise SchemaError(exc.message, line, "events") from exc
+    return seg_id, duration, k, step, surfaces, times, g
+
+
+def _event_time(j: int, ev: dict, line: int | None) -> float:
+    """Event j's 't' as a float: a JSON number, which a bool is not."""
+    t = ev["t"]
+    if type(t) is float:
+        return t
+    if not _is_number(t):
+        raise SchemaError(f"event {j} needs a number 't', got {ev!r}", line, "events")
+    return _float(t, line, "events")
 
 
 def log_to_record(log: EmissionLog) -> dict:
@@ -187,6 +247,17 @@ def read_log_corpus(source: Iterable[str], start: int = 1) -> Iterator[EmissionL
     start is the file line number of the first line of source, so errors
     name the right line when source is a run of lines from inside a file.
     """
+    yield from _read_records(source, start, log_from_record)
+
+
+def _read_columns(source: Iterable[str], start: int = 1) -> Iterator[tuple]:
+    """read_log_corpus's records as the checked columns of _record_columns:
+    the same rules and errors, and no log built."""
+    return _read_records(source, start, _record_columns)
+
+
+def _read_records(source: Iterable[str], start: int, build) -> Iterator:
+    """build(record, line number) of each record of a log corpus."""
     for lineno, line in enumerate(source, start=start):
         line = line.strip()
         if not line:
@@ -203,17 +274,18 @@ def read_log_corpus(source: Iterable[str], start: int = 1) -> Iterator[EmissionL
             raise SchemaError("JSON nested too deeply", lineno, None) from None
         if not isinstance(record, dict):
             raise SchemaError("record is not an object", lineno, None)
-        log = log_from_record(record, lineno)
+        built = build(record, lineno)
         # An undecodable byte outside the id and the words, which name their field.
         if not line.isascii() and not _utf8(line):
             raise SchemaError("not UTF-8 text", lineno, None)
-        yield log
+        yield built
 
 
 def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
-    """Write each log as one corpus line. A field of a type the reader
-    rejects raises the reader's SchemaError, naming the field, and nothing of
-    that log is written."""
+    """Write each log as one corpus line. A field or event of a type the
+    reader rejects, or an event whose surface reads back as another kind,
+    raises the reader's SchemaError, naming the field, and nothing of that
+    log is written."""
     for log in logs:
         events = log.events
         line = _record_line(
@@ -224,6 +296,14 @@ def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
         record = log_to_record(log)
         for field in _TYPES:
             _require(record, field, None)
+        for j, (ev, written) in enumerate(zip(events, record["events"])):
+            _event_time(j, written, None)
+            read = classify_surface(ev.surface)
+            if read is not ev.kind:
+                raise SchemaError(
+                    f"event {j}: {ev.surface!r} of kind {ev.kind.value} is read back "
+                    f"as kind {read.value}", None, "events",
+                )
         out.write(line)
 
 
@@ -357,7 +437,6 @@ def export_srt(schedule: DisplaySchedule) -> str:
     """
     if schedule.mode is not DisplayMode.BLOCKS:
         raise ValueError(f"SRT export needs a blocks-mode schedule, got {schedule.mode}")
-    cues: list[str] = []
     prev_end = float("-inf")
     for n, state in enumerate(schedule.states, start=1):
         if state.offset is None:
@@ -365,8 +444,26 @@ def export_srt(schedule: DisplaySchedule) -> str:
         if state.onset < prev_end:
             raise ValueError(f"overlapping cues: cue {n} starts before cue {n - 1} ends")
         prev_end = state.offset
-        rows = "\n".join(state.rows)
-        cues.append(
-            f"{n}\n{format_srt_time(state.onset)} --> {format_srt_time(state.offset)}\n{rows}\n"
-        )
-    return "\n".join(cues)
+    return _srt_text([(state.onset, state.offset, state.rows) for state in schedule.states])
+
+
+def _srt_text(cues: Sequence[tuple[float, float, Sequence[str]]]) -> str:
+    """SubRip text of (onset, offset, rows) cues, numbered from 1."""
+    return "\n".join([
+        f"{n}\n{format_srt_time(onset)} --> {format_srt_time(offset)}\n" + "\n".join(rows) + "\n"
+        for n, (onset, offset, rows) in enumerate(cues, start=1)
+    ])
+
+
+def _srt_of_columns(surfaces: Sequence[str], times: Sequence[float], end_time: float) -> str:
+    """export_srt(screen_schedule(log, DisplayMode.BLOCKS)) of the log of
+    these checked (surface, time) columns, with end_time = log.end_time +
+    log.delay_k, and nothing built on the way. A cue runs from its block's
+    time to the next block's, and is dropped when that is no later, as
+    schedule_block_mode drops a state; the last runs to end_time."""
+    blocks = _block_rows(surfaces, times)
+    cues = [(on, off, rows) for (on, rows), (off, _) in zip(blocks, blocks[1:]) if on < off]
+    if blocks:
+        on, rows = blocks[-1]
+        cues.append((on, end_time, rows))
+    return _srt_text(cues)

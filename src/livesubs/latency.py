@@ -73,7 +73,10 @@ def _lagging_ms(g: Sequence[float], d: float, segment_id: str) -> float:
         if gi >= d:
             tau = i
             break
-    total = sum([g[i] - i * d / n for i in range(tau)])
+    # Left to right: builtin sum() of floats is compensated from Python 3.12 on.
+    total = 0.0
+    for i in range(tau):
+        total += g[i] - i * d / n
     return 1000.0 * total / tau
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EmissionLog, StreamError, _log_from_columns
+from .core import EmissionLog, StreamError, _built_log, _check_columns
 
 __all__ = ["WaitKConfig", "AnnotatedReference", "simulate_waitk"]
 
@@ -71,9 +71,9 @@ def simulate_waitk(ref: AnnotatedReference, cfg: WaitKConfig) -> EmissionLog:
     decoder generates them as ordinary vocabulary items.
     """
     times, consumed = _emission_columns(ref, cfg)
-    return _log_from_columns(
-        ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times, tuple(consumed)
-    )
+    columns = (ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times)
+    _check_columns(*columns, consumed)
+    return _built_log(*columns, tuple(consumed))
 
 
 def _emission_columns(

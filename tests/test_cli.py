@@ -210,6 +210,56 @@ def test_replay_stops_at_first_match(tmp_path, logs_file):
     assert main(["replay", str(corpus), "--segment", "seg00001", "--speed", "0"]) == 3
 
 
+def _no_token_objects(monkeypatch):
+    """Make building a token event, through any path, fail the test."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("built a token object")
+
+    monkeypatch.setattr(core, "_events", built)
+    monkeypatch.setattr(core, "parse_token_stream", built)
+    monkeypatch.setattr(TokenEvent, "__post_init__", built)
+    monkeypatch.setattr(EmissionLog, "__post_init__", built)
+
+
+def test_export_srt_builds_no_token_objects(tmp_path, logs_file, monkeypatch):
+    assert main(["export-srt", str(logs_file), "--out", str(tmp_path / "objects")]) == 0
+    _no_token_objects(monkeypatch)
+    assert main(["export-srt", str(logs_file), "--out", str(tmp_path / "columns")]) == 0
+    expected = sorted((p.name, p.read_bytes()) for p in (tmp_path / "objects").iterdir())
+    assert sorted((p.name, p.read_bytes()) for p in (tmp_path / "columns").iterdir()) == expected
+
+
+def test_replay_builds_one_log(logs_file, monkeypatch, capsys):
+    argv = ["replay", str(logs_file), "--segment", "seg00017", "--speed", "0"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    events = core._events
+    built = []
+
+    def spy(pairs):
+        built.append(1)
+        return events(pairs)
+
+    monkeypatch.setattr(core, "_events", spy)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert len(built) == 1
+
+
+def test_replay_rejects_a_bad_record_before_the_segment(tmp_path, logs_file, capsys):
+    lines = logs_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["events"][1]["t"] = -1.0
+    lines[2] = json.dumps(record) + "\n"
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    assert main(["replay", str(corpus), "--segment", "seg00004", "--speed", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 3, field 'events': ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import io
 import json
@@ -15,6 +16,8 @@ from livesubs import (
     NonPositiveDurationError,
     SchemaError,
     StreamError,
+    TokenEvent,
+    TokenKind,
     WaitKConfig,
     close_schedule,
     export_srt,
@@ -30,7 +33,7 @@ from livesubs import (
 )
 from livesubs.formats import SRT_END_MS, _record_line, format_srt_time, log_from_record
 from livesubs.core import _check_columns
-from livesubs.formats import log_to_record
+from livesubs.formats import _plain_columns, _walked_columns, log_to_record
 from livesubs.latency import EmptyLogError, LatencyOverflowError
 
 from conftest import make_refs, simulate_corpus
@@ -518,6 +521,7 @@ def _writable_logs(draw):
 @example(EmissionLog("s", 1.0, True))
 @example(EmissionLog("s", 1.0, 3.0))
 @example(EmissionLog("s", True, 3))
+@example(EmissionLog("s", 1.0, 3, events=(TokenEvent("a", TokenKind.WORD, True),)))
 def test_log_corpus_round_trips_or_is_refused(log):
     """read(write(log)) == log for every log the writer accepts. A log it
     refuses is one whose line the reader rejects, naming the same field."""
@@ -601,3 +605,71 @@ def test_a_field_of_the_wrong_type_names_the_type(field, value, message):
     with pytest.raises(SchemaError) as info:
         log_from_record(record, 4)
     assert str(info.value) == f"line 4, field {field!r}: {message}"
+
+
+def test_writer_refuses_a_time_the_reader_rejects():
+    a = TokenEvent("a", TokenKind.WORD, 0.5)
+    log = EmissionLog("s", 2.0, 3, events=(a, TokenEvent("b", TokenKind.WORD, True)))
+    out = io.StringIO()
+    with pytest.raises(SchemaError) as info:
+        write_log_corpus([EmissionLog("s0", 2.0, 3, events=(a,)), log], out)
+    assert str(info.value) == "record, field 'events': event 1 needs a number 't', got {'t': True, 'w': 'b'}"
+    # the log before it is written, nothing of the refused one
+    assert [r.segment_id for r in read_log_corpus(out.getvalue().splitlines())] == ["s0"]
+
+
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        (TokenEvent("<eol>", TokenKind.WORD, 1.0), "'<eol>' of kind word is read back as kind eol"),
+        (TokenEvent("a", TokenKind.END_OF_BLOCK, 1.0), "'a' of kind eob is read back as kind word"),
+    ],
+)
+def test_writer_refuses_an_event_read_back_as_another_kind(event, message):
+    log = EmissionLog("s", 2.0, 3, events=(TokenEvent("a", TokenKind.WORD, 0.5), event))
+    out = io.StringIO()
+    with pytest.raises(SchemaError) as info:
+        write_log_corpus([log], out)
+    assert (info.value.line, info.value.field) == (None, "events")
+    assert info.value.message == f"event 1: {message}"
+    assert out.getvalue() == ""
+
+
+# Values of other types and ranges than a record's own.
+_ODD = [None, True, 0, 3, 10**400, -1.0, 0.0, 0.5, 2.5, 1e308, math.inf,
+        "x", "é", "\ud800", "<eol>", "", [], {}]
+
+
+@st.composite
+def _records(draw):
+    """A valid record with up to two of its values, at any depth, replaced
+    by one of _ODD or deleted."""
+    times = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), max_size=4)))
+    record = {"id": "s", "duration": 2.0, "k": 3, "step": 0.28,
+              "events": [{"t": t, "w": "a"} for t in times], "g": list(times)}
+    for _ in range(draw(st.integers(0, 2))):
+        events, g = record.get("events"), record.get("g")
+        events = events if isinstance(events, list) else []
+        places = [(record, key) for key in record]
+        places += [(events, j) for j in range(len(events))]
+        places += [(ev, key) for ev in events if isinstance(ev, dict) for key in ev]
+        places += [(g, j) for j in range(len(g))] if isinstance(g, list) else []
+        where, key = draw(st.sampled_from(places))
+        if isinstance(where, dict) and draw(st.integers(0, 4)) == 0:
+            del where[key]
+        else:
+            where[key] = copy.deepcopy(draw(st.sampled_from(_ODD)))
+    return record
+
+
+@settings(max_examples=500)
+@given(_records())
+@example({"id": "s", "duration": 2.0, "k": 3, "step": 0.28,
+          "events": [{"t": 0.5, "w": "a"}, {"t": 1.0, "w": "b"}], "g": [1.0, 0.5]})
+@example({"id": "s", "duration": 1e308, "k": 10, "step": 1e308, "events": []})
+def test_plain_record_test_agrees_with_the_walk(record):
+    """A record _plain_columns passes is one the rule-by-rule walk reads
+    to the same columns."""
+    columns = _plain_columns(record)
+    if columns is not None:
+        assert columns == _walked_columns(record, 1)

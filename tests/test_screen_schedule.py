@@ -1,19 +1,24 @@
-"""replay and export-srt take their screens from report.screen_schedule, and
-replay takes its summary from evaluate_log. These tests pin both commands to
-the evaluate report and to the schedule path they used before (extractor,
-scheduler, close at segment end plus the wait-k delay)."""
+"""replay takes its screens from report.screen_schedule and its summary from
+evaluate_log; export-srt renders the blocks-mode screens from each record's
+columns. These tests pin both commands to the evaluate report and to the
+schedule path (extractor, scheduler, close at segment end plus the wait-k
+delay)."""
 
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from livesubs import (
     DisplayMode,
+    EmissionLog,
     close_schedule,
     export_srt,
     extract_blocks,
     extract_lines,
     group_word_blocks,
+    parse_token_stream,
     read_log_corpus,
     schedule_block_mode,
     schedule_line_mode,
@@ -21,6 +26,7 @@ from livesubs import (
     write_annotated_refs,
 )
 from livesubs.cli import main
+from livesubs.formats import _srt_of_columns
 from livesubs.report import screen_schedule
 
 from conftest import make_refs
@@ -93,3 +99,35 @@ def test_srt_files_equal_the_block_schedule_path(corpus, logs, tmp_path):
     for log in logs:
         expected = export_srt(old_schedule(log, DisplayMode.BLOCKS, 84))
         assert (out / f"{log.segment_id}.srt").read_bytes() == expected.encode("utf-8")
+
+
+@st.composite
+def _srt_columns(draw):
+    """(surfaces, times, k, step) of a log: few distinct words and times, so
+    that empty lines and blocks closed at one instant are common."""
+    n = draw(st.integers(0, 10))
+    surfaces = draw(st.lists(st.sampled_from(["a", "bc", "<eol>", "<eob>"]), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        surfaces.append("<eos>")
+    times = sorted(draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0.0, 1e5),
+        min_size=len(surfaces), max_size=len(surfaces),
+    )))
+    # A step of 5e-324 closes the last cue at its own onset.
+    return surfaces, times, draw(st.integers(1, 5)), draw(st.sampled_from([0.28, 1e-3, 5e-324]))
+
+
+@settings(max_examples=400)
+@given(_srt_columns())
+@example((["<eol>", "<eol>"], [0.5, 1.0], 3, 0.28))  # empty rows
+@example((["a", "<eol>", "<eos>"], [0.5, 1.0, 2.0], 3, 0.28))  # <eol> before a later <eos>
+@example((["a", "<eob>", "b", "<eob>", "c"], [0.5] * 5, 3, 0.28))  # collapsed cues
+@example((["a", "<eob>", "b", "<eol>", "c"], [0.5, 1.0, 1.5, 2.0, 2.5], 3, 0.28))  # words after <eob>
+@example((["<eos>"], [0.5], 3, 0.28))
+@example(([], [], 3, 0.28))
+@example((["a", "<eob>"], [0.5, 0.5], 1, 5e-324))
+def test_srt_of_columns_equals_the_block_schedule(columns):
+    surfaces, times, k, step = columns
+    log = EmissionLog("s", 1.0, k, step, parse_token_stream(zip(surfaces, times)))
+    expected = export_srt(screen_schedule(log, DisplayMode.BLOCKS))
+    assert _srt_of_columns(surfaces, times, log.end_time + log.delay_k) == expected
