@@ -389,26 +389,36 @@ def extract_blocks(events: Sequence[TokenEvent]) -> tuple[SubtitleBlock, ...]:
 def extract_lines(events: Sequence[TokenEvent]) -> tuple[SubtitleLine, ...]:
     """Split a parsed event sequence into lines, treating <eol> and <eob>
     as one unified delimiter. Trailing words form an implicit final line."""
-    lines: list[SubtitleLine] = []
-    cur_words: list[TokenEvent] = []
-    # Looked up once: an Enum member looked up through its class costs about
-    # 0.1 us in Python 3.11, and this loop runs once per event.
-    word, eol, eob = TokenKind.WORD, TokenKind.END_OF_LINE, TokenKind.END_OF_BLOCK
-    for ev in events:
-        kind = ev.kind
-        if kind is word:
-            cur_words.append(ev)
-        elif kind is eol:
-            lines.append(SubtitleLine(tuple(cur_words), ev.emit_time, Terminator.END_OF_LINE))
-            cur_words = []
-        elif kind is eob:
-            lines.append(SubtitleLine(tuple(cur_words), ev.emit_time, Terminator.END_OF_BLOCK))
-            cur_words = []
-    if cur_words:
-        lines.append(
-            SubtitleLine(tuple(cur_words), events[-1].emit_time, Terminator.IMPLICIT_END)
+    kinds = [ev.kind for ev in events]
+    eol, eob = TokenKind.END_OF_LINE, TokenKind.END_OF_BLOCK
+    return tuple([
+        SubtitleLine(
+            tuple(events[start:stop]),
+            events[closer].emit_time,
+            Terminator.END_OF_LINE if kinds[closer] is eol
+            else Terminator.END_OF_BLOCK if kinds[closer] is eob
+            else Terminator.IMPLICIT_END,
         )
-    return tuple(lines)
+        for start, stop, closer in _line_cuts(kinds, eol, eob, TokenKind.END_OF_SEGMENT)
+    ])
+
+
+def _line_cuts(column: Sequence, eol, eob, eos) -> list[tuple[int, int, int]]:
+    """(start, stop, closer) of each line of extract_lines, cut from a column
+    of the events' kinds or surfaces in which eol, eob and eos stand for
+    <eol>, <eob> and <eos>: the line's words are the events [start, stop),
+    and it breaks at event closer's time. A line closed by <eol> or <eob>
+    has closer == stop; the words after the last break, up to <eos> (only
+    ever last), form an implicit line at the last event's time."""
+    cuts = []
+    start = 0
+    for i in [i for i, x in enumerate(column) if x == eol or x == eob]:
+        cuts.append((start, i, i))
+        start = i + 1
+    stop = len(column) - 1 if column and column[-1] == eos else len(column)
+    if start < stop:
+        cuts.append((start, stop, len(column) - 1))
+    return cuts
 
 
 def blocks_from_lines(lines: Sequence[SubtitleLine]) -> tuple[SubtitleBlock, ...]:
@@ -417,7 +427,7 @@ def blocks_from_lines(lines: Sequence[SubtitleLine]) -> tuple[SubtitleBlock, ...
     timed at its last line's break time."""
     blocks: list[SubtitleBlock] = []
     start = 0
-    for stop in _block_stops(lines):
+    for stop in _block_stops([line.terminator for line in lines], Terminator.END_OF_BLOCK):
         last = lines[stop - 1]
         terminator = last.terminator
         if terminator is not Terminator.END_OF_BLOCK:
@@ -427,36 +437,25 @@ def blocks_from_lines(lines: Sequence[SubtitleLine]) -> tuple[SubtitleBlock, ...
     return tuple(blocks)
 
 
-def _block_stops(lines: Sequence[SubtitleLine]) -> list[int]:
-    """Where each block of blocks_from_lines ends: the index after its last
-    line, which is closed by ``<eob>`` or is the last line."""
-    eob = Terminator.END_OF_BLOCK
-    stops = [i for i, line in enumerate(lines, 1) if line.terminator is eob]
-    if len(lines) > (stops[-1] if stops else 0):
-        stops.append(len(lines))
+def _block_stops(ends: Sequence, eob) -> list[int]:
+    """Where each block of blocks_from_lines ends, given what closes each
+    line (its terminator, or the kind or surface of its closer), in which
+    eob stands for <eob>: the index after its last line, which is closed by
+    <eob> or is the last line."""
+    stops = [i for i, end in enumerate(ends, 1) if end == eob]
+    if len(ends) > (stops[-1] if stops else 0):
+        stops.append(len(ends))
     return stops
 
 
 def _block_rows(surfaces: Sequence[str], times: Sequence[float]) -> list[tuple[float, list[str]]]:
     """(block_time, line texts) of each block of extract_blocks over the
     events of these checked (surface, time) columns, cut from the columns."""
+    cuts = _line_cuts(surfaces, EOL_SURFACE, EOB_SURFACE, EOS_SURFACE)
+    rows = [" ".join(surfaces[start:stop]) for start, stop, _ in cuts]
     blocks = []
-    rows: list[str] = []
     start = 0
-    line_time = 0.0
-    for i in [i for i, s in enumerate(surfaces) if s == EOL_SURFACE or s == EOB_SURFACE]:
-        rows.append(" ".join(surfaces[start:i]))
-        start = i + 1
-        line_time = times[i]
-        if surfaces[i] == EOB_SURFACE:
-            blocks.append((line_time, rows))
-            rows = []
-    # The words after the last break, up to <eos> (always last), form an
-    # implicit line at the last event's time.
-    stop = len(surfaces) - 1 if surfaces and surfaces[-1] == EOS_SURFACE else len(surfaces)
-    if start < stop:
-        rows.append(" ".join(surfaces[start:stop]))
-        line_time = times[-1]
-    if rows:
-        blocks.append((line_time, rows))
+    for stop in _block_stops([surfaces[closer] for _, _, closer in cuts], EOB_SURFACE):
+        blocks.append((times[cuts[stop - 1][2]], rows[start:stop]))
+        start = stop
     return blocks

@@ -135,14 +135,19 @@ def _schedule(
     return DisplaySchedule(mode, tuple(states), times)
 
 
-def _append_state(
-    states: list[ScreenState], rows: tuple[str, ...], onset: float, offset: float | None
-) -> None:
-    # Burst emissions produce zero-length states; collapse them so states
-    # tile time without overlap.
-    if offset is not None and offset <= onset:
-        return
-    states.append(ScreenState(rows, onset, offset))
+def _tiled(
+    onsets: Sequence[float], end: float | None = None
+) -> list[tuple[int, float, float | None]]:
+    """(unit, onset, offset) of the screen states of units shown from their
+    onsets: each until the next unit's onset, the last until end (None:
+    open-ended). Burst emissions produce zero-length states; they are
+    dropped so states tile time without overlap."""
+    offsets = [*onsets[1:], end]
+    return [
+        (i, onset, offset)
+        for i, (onset, offset) in enumerate(zip(onsets, offsets))
+        if offset is None or onset < offset
+    ]
 
 
 def schedule_word_mode(
@@ -150,20 +155,14 @@ def schedule_word_mode(
 ) -> DisplaySchedule:
     """Word-for-word display: each word appears when emitted; the row is
     cleared when the next block's first word is emitted (or at segment end)."""
-    states: list[ScreenState] = []
-    for b, block in enumerate(blocks):
-        if b + 1 < len(blocks):
-            block_end: float | None = blocks[b + 1].words[0].emit_time
-        else:
-            block_end = eos_time
+    rows: list[tuple[str]] = []
+    for block in blocks:
         row = ""
-        for i, w in enumerate(block.words):
+        for w in block.words:
             row = w.surface if not row else row + " " + w.surface
-            if i + 1 < len(block.words):
-                offset: float | None = block.words[i + 1].emit_time
-            else:
-                offset = block_end
-            _append_state(states, (row,), w.emit_time, offset)
+            rows.append((row,))
+    onsets = [w.emit_time for block in blocks for w in block.words]
+    states = [ScreenState(rows[i], on, off) for i, on, off in _tiled(onsets, eos_time)]
     # A word is shown when emitted: when its group is complete plays no part.
     return _schedule(DisplayMode.WORD_FOR_WORD, states, blocks, [None] * len(blocks))
 
@@ -171,29 +170,24 @@ def schedule_word_mode(
 def schedule_block_mode(blocks: Sequence[SubtitleBlock]) -> DisplaySchedule:
     """Block display: a block becomes visible when completed and stays until
     the next block is completed."""
-    states: list[ScreenState] = []
-    for b, block in enumerate(blocks):
-        offset = blocks[b + 1].block_time if b + 1 < len(blocks) else None
-        rows = tuple(line.text for line in block.lines)
-        _append_state(states, rows, block.block_time, offset)
-    return _schedule(DisplayMode.BLOCKS, states, blocks, [b.block_time for b in blocks])
+    onsets = [block.block_time for block in blocks]
+    states = [
+        ScreenState(tuple(line.text for line in blocks[b].lines), on, off)
+        for b, on, off in _tiled(onsets)
+    ]
+    return _schedule(DisplayMode.BLOCKS, states, blocks, onsets)
 
 
 def schedule_line_mode(lines: Sequence[SubtitleLine]) -> DisplaySchedule:
     """Scrolling-lines display: a finished line enters the lower row, moves
     to the upper row when the next line arrives, and disappears after two
     later lines have appeared."""
-    states: list[ScreenState] = []
-    for l, line in enumerate(lines):
-        if l == 0:
-            rows: tuple[str, ...] = (line.text,)
-        else:
-            rows = (lines[l - 1].text, line.text)
-        offset = lines[l + 1].break_time if l + 1 < len(lines) else None
-        _append_state(states, rows, line.break_time, offset)
-    return _schedule(
-        DisplayMode.SCROLLING_LINES, states, lines, [line.break_time for line in lines]
-    )
+    onsets = [line.break_time for line in lines]
+    states = [
+        ScreenState((lines[l - 1].text, lines[l].text) if l else (lines[l].text,), on, off)
+        for l, on, off in _tiled(onsets)
+    ]
+    return _schedule(DisplayMode.SCROLLING_LINES, states, lines, onsets)
 
 
 def close_schedule(schedule: DisplaySchedule, end_time: float) -> DisplaySchedule:
@@ -202,7 +196,13 @@ def close_schedule(schedule: DisplaySchedule, end_time: float) -> DisplaySchedul
     if not schedule.states or schedule.states[-1].offset is not None:
         return schedule
     last = schedule.states[-1]
-    closed = ScreenState(last.rows, last.onset, max(end_time, last.onset))
+    closed = ScreenState(last.rows, last.onset, _closed_offset(last.onset, end_time))
     return DisplaySchedule(
         schedule.mode, schedule.states[:-1] + (closed,), schedule.word_display_times
     )
+
+
+def _closed_offset(onset: float, end_time: float) -> float:
+    """When an open-ended state shown from onset ends, closed at end_time:
+    never before it is shown."""
+    return max(end_time, onset)

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import islice
 from json.encoder import encode_basestring
-from operator import le
 from typing import IO, Iterable, Iterator, Sequence
 
 from .core import (
@@ -30,7 +28,7 @@ from .core import (
     classify_surface,
     finite_delay_k,
 )
-from .display import DisplayMode, DisplaySchedule
+from .display import DisplayMode, DisplaySchedule, _closed_offset, _tiled
 from .waitk import AnnotatedReference
 
 __all__ = [
@@ -110,57 +108,8 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
 
 def _record_columns(record: dict, line: int | None) -> tuple:
     """(id, duration, k, step, surfaces, times, g) of one parsed interchange
-    record: the columns log_from_record builds its log of, checked by every
-    rule it applies, which raise what it raises."""
-    columns = _plain_columns(record) or _walked_columns(record, line)
-    # Whatever the constructors still reject is about the events.
-    try:
-        _check_columns(*columns)
-    except NonMonotonicTimeError as exc:
-        raise NonMonotonicTimeError(exc.message, line, "events") from exc
-    except StreamError as exc:
-        raise SchemaError(exc.message, line, "events") from exc
-    return columns
-
-
-_FLOAT = frozenset([float])
-
-
-def _plain_columns(record: dict) -> tuple | None:
-    """The columns of a record of float numbers that passes every field,
-    event and 'g' rule of _walked_columns, tested at once; nearly every
-    record is one. None for any other record."""
-    seg_id, duration, k = record.get("id"), record.get("duration"), record.get("k")
-    step, events, g = record.get("step"), record.get("events"), record.get("g")
-    if not (
-        type(seg_id) is str and type(duration) is float and type(k) is int
-        and type(step) is float and type(events) is list
-        and 0 < duration < math.inf and 1 <= k and 0 < step < math.inf
-        and finite_delay_k(k, step) and (seg_id.isascii() or _utf8(seg_id))
-    ):
-        return None
-    try:
-        surfaces = [ev["w"] for ev in events]
-        times = [ev["t"] for ev in events]
-        text = "".join(surfaces)  # a TypeError unless every 'w' is a string
-    except (TypeError, KeyError):  # an event that is not an object with both
-        return None
-    if not (_FLOAT.issuperset(map(type, times)) and (text.isascii() or _utf8(text))):
-        return None
-    if g is not None:
-        if not (
-            type(g) is list and len(g) == len(times) and _FLOAT.issuperset(map(type, g))
-            and (not g or 0.0 <= g[0] and g[-1] <= duration)
-            and all(map(le, g, islice(g, 1, None)))
-        ):
-            return None
-        g = tuple(g)
-    return seg_id, duration, k, step, surfaces, times, g
-
-
-def _walked_columns(record: dict, line: int | None) -> tuple:
-    """The columns of a record, its fields and events read one by one:
-    the first rule broken raises, naming its field."""
+    record: the columns log_from_record builds its log of, its fields and
+    events read one by one. The first rule broken raises, naming its field."""
     seg_id = _require(record, "id", line)
     if not seg_id.isascii() and not _utf8(seg_id):
         raise SchemaError(f"not UTF-8 text: {seg_id!r}", line, "id")
@@ -203,7 +152,15 @@ def _walked_columns(record: dict, line: int | None) -> tuple:
                 )
             last = x
         g = tuple(map(float, g))
-    return seg_id, duration, k, step, surfaces, times, g
+    columns = seg_id, duration, k, step, surfaces, times, g
+    # Whatever the constructors still reject is about the events.
+    try:
+        _check_columns(*columns)
+    except NonMonotonicTimeError as exc:
+        raise NonMonotonicTimeError(exc.message, line, "events") from exc
+    except StreamError as exc:
+        raise SchemaError(exc.message, line, "events") from exc
+    return columns
 
 
 def _event_time(j: int, ev: dict, line: int | None) -> float:
@@ -458,12 +415,11 @@ def _srt_text(cues: Sequence[tuple[float, float, Sequence[str]]]) -> str:
 def _srt_of_columns(surfaces: Sequence[str], times: Sequence[float], end_time: float) -> str:
     """export_srt(screen_schedule(log, DisplayMode.BLOCKS)) of the log of
     these checked (surface, time) columns, with end_time = log.end_time +
-    log.delay_k, and nothing built on the way. A cue runs from its block's
-    time to the next block's, and is dropped when that is no later, as
-    schedule_block_mode drops a state; the last runs to end_time."""
+    log.delay_k, and nothing built on the way: the blocks' cues are tiled
+    as schedule_block_mode tiles its states, and the last is closed as
+    close_schedule closes it."""
     blocks = _block_rows(surfaces, times)
-    cues = [(on, off, rows) for (on, rows), (off, _) in zip(blocks, blocks[1:]) if on < off]
-    if blocks:
-        on, rows = blocks[-1]
-        cues.append((on, end_time, rows))
+    cues = [[on, off, blocks[b][1]] for b, on, off in _tiled([t for t, _ in blocks])]
+    if cues:
+        cues[-1][1] = _closed_offset(cues[-1][0], end_time)
     return _srt_text(cues)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterable, Sequence
 
-from .core import EmissionLog, SubtitleLine, _block_stops, _joined_length, blocks_from_lines
-from .core import extract_lines
+from .core import EmissionLog, SubtitleLine, Terminator, _block_stops, _joined_length
+from .core import blocks_from_lines, extract_lines
 from .display import (
     MAX_ROW_CHARS,
     SHOWN_AT,
@@ -151,7 +151,7 @@ def evaluate_log(
     n_conforming = 0
     line_lengths = [line.char_length for line in lines]
     start = 0
-    for stop in _block_stops(lines):
+    for stop in _block_stops([line.terminator for line in lines], Terminator.END_OF_BLOCK):
         first_word = len(times)
         for line in lines[start:stop]:
             words = line.words

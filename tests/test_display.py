@@ -123,6 +123,11 @@ def test_close_schedule():
     assert closed.mode is DisplayMode.SCROLLING_LINES
 
 
+def test_close_schedule_never_ends_a_state_before_it_is_shown():
+    schedule = schedule_line_mode(extract_lines(words(("a", 1.0), ("<eob>", 2.0))))
+    assert close_schedule(schedule, 1.5).states[-1].offset == 2.0
+
+
 raw_streams = st.lists(
     st.tuples(
         st.sampled_from(["alpha", "bb", "longishword", "<eol>", "<eob>"]),

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import io
 import json
@@ -33,7 +32,7 @@ from livesubs import (
 )
 from livesubs.formats import SRT_END_MS, _record_line, format_srt_time, log_from_record
 from livesubs.core import _check_columns
-from livesubs.formats import _plain_columns, _walked_columns, log_to_record
+from livesubs.formats import log_to_record
 from livesubs.latency import EmptyLogError, LatencyOverflowError
 
 from conftest import make_refs, simulate_corpus
@@ -634,42 +633,3 @@ def test_writer_refuses_an_event_read_back_as_another_kind(event, message):
     assert info.value.message == f"event 1: {message}"
     assert out.getvalue() == ""
 
-
-# Values of other types and ranges than a record's own.
-_ODD = [None, True, 0, 3, 10**400, -1.0, 0.0, 0.5, 2.5, 1e308, math.inf,
-        "x", "é", "\ud800", "<eol>", "", [], {}]
-
-
-@st.composite
-def _records(draw):
-    """A valid record with up to two of its values, at any depth, replaced
-    by one of _ODD or deleted."""
-    times = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), max_size=4)))
-    record = {"id": "s", "duration": 2.0, "k": 3, "step": 0.28,
-              "events": [{"t": t, "w": "a"} for t in times], "g": list(times)}
-    for _ in range(draw(st.integers(0, 2))):
-        events, g = record.get("events"), record.get("g")
-        events = events if isinstance(events, list) else []
-        places = [(record, key) for key in record]
-        places += [(events, j) for j in range(len(events))]
-        places += [(ev, key) for ev in events if isinstance(ev, dict) for key in ev]
-        places += [(g, j) for j in range(len(g))] if isinstance(g, list) else []
-        where, key = draw(st.sampled_from(places))
-        if isinstance(where, dict) and draw(st.integers(0, 4)) == 0:
-            del where[key]
-        else:
-            where[key] = copy.deepcopy(draw(st.sampled_from(_ODD)))
-    return record
-
-
-@settings(max_examples=500)
-@given(_records())
-@example({"id": "s", "duration": 2.0, "k": 3, "step": 0.28,
-          "events": [{"t": 0.5, "w": "a"}, {"t": 1.0, "w": "b"}], "g": [1.0, 0.5]})
-@example({"id": "s", "duration": 1e308, "k": 10, "step": 1e308, "events": []})
-def test_plain_record_test_agrees_with_the_walk(record):
-    """A record _plain_columns passes is one the rule-by-rule walk reads
-    to the same columns."""
-    columns = _plain_columns(record)
-    if columns is not None:
-        assert columns == _walked_columns(record, 1)
