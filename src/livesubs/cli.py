@@ -41,6 +41,7 @@ from collections import deque
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
+from threading import TIMEOUT_MAX
 
 from .core import StreamError, _built_log, _check_columns, delay_k_seconds, finite_delay_k
 from .display import MAX_ROW_CHARS, DisplayMode
@@ -55,8 +56,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SCHEMA = 3
 EXIT_IO = 4
-
-_MODES = {m.value: m for m in DisplayMode}
 
 # Corpus lines per unit of work handed to a worker process.
 CHUNK_LINES = 256
@@ -129,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="compute readability and latency metrics")
     p.add_argument("logs", help="emission-log corpus file")
-    p.add_argument("--mode", choices=[*_MODES, "all"], default="all")
+    p.add_argument("--mode", choices=[*(m.value for m in DisplayMode), "all"], default="all")
     _add_metric_flags(p)
     p.add_argument("--cpl-min", type=_AT_LEAST_ZERO, default=MIN_CPL)
     p.add_argument("--cpl-max", type=_AT_LEAST_ONE, default=MAX_CPL)
@@ -139,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay one segment's screen states")
     p.add_argument("logs", help="emission-log corpus file")
     p.add_argument("--segment", required=True, help="segment id to replay")
-    p.add_argument("--mode", choices=list(_MODES), default="line")
+    p.add_argument("--mode", choices=[m.value for m in DisplayMode], default="line")
     p.add_argument(
         "--speed", type=_checked(float, lambda v: v >= 0, ">= 0"), default=1.0,
         help="playback speed factor; 0 dumps all frames immediately",
@@ -276,7 +275,7 @@ def cmd_evaluate(args) -> int:
     if report.n_segments == 0:
         print("error: empty corpus", file=sys.stderr)
         return EXIT_SCHEMA
-    modes = MODE_ORDER if args.mode == "all" else (_MODES[args.mode],)
+    modes = MODE_ORDER if args.mode == "all" else (DisplayMode(args.mode),)
     sys.stdout.write(render_table(report, modes))
     if args.out is not None:
         out_path = Path(args.out)
@@ -303,9 +302,21 @@ def cmd_replay(args) -> int:
         print(f"error: unknown segment id {args.segment!r}", file=sys.stderr)
         return EXIT_SCHEMA
     log, metrics = found
-    mode = _MODES[args.mode]
+    mode = DisplayMode(args.mode)
+    states = screen_schedule(log, mode, args.max_row_chars).states
+    # time.sleep waits until the monotonic clock reads now + wait, and fails
+    # when that is TIMEOUT_MAX s or more: check the whole replay before any frame.
+    if args.speed > 0 and states:
+        span = (states[-1].onset - states[0].onset) / args.speed
+        if not time.monotonic() + span < TIMEOUT_MAX:
+            print(
+                f"error: --speed {args.speed:g} makes the replay {span:g} s long, "
+                "more than time.sleep can wait",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     prev_onset = None
-    for state in screen_schedule(log, mode, args.max_row_chars).states:
+    for state in states:
         if args.speed > 0 and prev_onset is not None:
             time.sleep((state.onset - prev_onset) / args.speed)
         prev_onset = state.onset

@@ -2,16 +2,16 @@
 
 Each scheduler turns timed subtitle units into a time-ordered sequence of
 screen states (what rows are visible, from when to when) plus the first time
-each word becomes visible, by SHOWN_AT's rule for the mode. The final state
-of a segment is open-ended (``offset=None``) until closed for rendering or
-export.
+each word becomes visible: in word mode when it is emitted, in block and line
+mode when its unit is complete. The final state of a segment is open-ended
+(``offset=None``) until closed for rendering or export.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from .core import SubtitleBlock, SubtitleLine, TokenEvent
 
@@ -21,7 +21,6 @@ __all__ = [
     "DisplaySchedule",
     "WordBlock",
     "MAX_ROW_CHARS",
-    "SHOWN_AT",
     "group_word_blocks",
     "schedule_word_mode",
     "schedule_block_mode",
@@ -113,26 +112,17 @@ def _pack_rows(lengths: Sequence[int], max_chars: int) -> list[tuple[int, int]]:
     return rows
 
 
-# When each word is first on screen, per mode: shown(emitted, closed) of the
-# columns of the words' emission times and of the times their units are
-# complete (a block's block_time, a line's break_time).
-SHOWN_AT: dict[DisplayMode, Callable[[Sequence[float], Sequence[Any]], Sequence[float]]] = {
-    DisplayMode.WORD_FOR_WORD: lambda emitted, closed: emitted,
-    DisplayMode.BLOCKS: lambda emitted, closed: closed,
-    DisplayMode.SCROLLING_LINES: lambda emitted, closed: closed,
-}
-
-
 def _schedule(
-    mode: DisplayMode, states: list[ScreenState], units: Sequence[Any], unit_times: Sequence[Any]
+    mode: DisplayMode,
+    rows: Sequence[tuple[str, ...]],
+    onsets: Sequence[float],
+    shown: Sequence[float],
+    end: float | None = None,
 ) -> DisplaySchedule:
-    """The mode's schedule of states; the words of units, numbered in
-    emission order, are first shown at SHOWN_AT[mode] (unit_times[i] is
-    when units[i] is complete)."""
-    emitted = [w.emit_time for u in units for w in u.words]
-    closed = [t for u, t in zip(units, unit_times) for _ in u.words]
-    times = dict(enumerate(SHOWN_AT[mode](emitted, closed)))
-    return DisplaySchedule(mode, tuple(states), times)
+    """The mode's schedule: rows[i] on screen from onsets[i], tiled as _tiled
+    says; the i-th word in emission order is first shown at shown[i]."""
+    states = tuple(ScreenState(rows[i], on, off) for i, on, off in _tiled(onsets, end))
+    return DisplaySchedule(mode, states, dict(enumerate(shown)))
 
 
 def _tiled(
@@ -162,32 +152,26 @@ def schedule_word_mode(
             row = w.surface if not row else row + " " + w.surface
             rows.append((row,))
     onsets = [w.emit_time for block in blocks for w in block.words]
-    states = [ScreenState(rows[i], on, off) for i, on, off in _tiled(onsets, eos_time)]
-    # A word is shown when emitted: when its group is complete plays no part.
-    return _schedule(DisplayMode.WORD_FOR_WORD, states, blocks, [None] * len(blocks))
+    return _schedule(DisplayMode.WORD_FOR_WORD, rows, onsets, onsets, eos_time)
 
 
 def schedule_block_mode(blocks: Sequence[SubtitleBlock]) -> DisplaySchedule:
     """Block display: a block becomes visible when completed and stays until
     the next block is completed."""
+    rows = [tuple(line.text for line in block.lines) for block in blocks]
     onsets = [block.block_time for block in blocks]
-    states = [
-        ScreenState(tuple(line.text for line in blocks[b].lines), on, off)
-        for b, on, off in _tiled(onsets)
-    ]
-    return _schedule(DisplayMode.BLOCKS, states, blocks, onsets)
+    shown = [block.block_time for block in blocks for _ in block.words]
+    return _schedule(DisplayMode.BLOCKS, rows, onsets, shown)
 
 
 def schedule_line_mode(lines: Sequence[SubtitleLine]) -> DisplaySchedule:
     """Scrolling-lines display: a finished line enters the lower row, moves
     to the upper row when the next line arrives, and disappears after two
     later lines have appeared."""
+    rows = [(lines[l - 1].text, line.text) if l else (line.text,) for l, line in enumerate(lines)]
     onsets = [line.break_time for line in lines]
-    states = [
-        ScreenState((lines[l - 1].text, lines[l].text) if l else (lines[l].text,), on, off)
-        for l, on, off in _tiled(onsets)
-    ]
-    return _schedule(DisplayMode.SCROLLING_LINES, states, lines, onsets)
+    shown = [line.break_time for line in lines for _ in line.words]
+    return _schedule(DisplayMode.SCROLLING_LINES, rows, onsets, shown)
 
 
 def close_schedule(schedule: DisplaySchedule, end_time: float) -> DisplaySchedule:

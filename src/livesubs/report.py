@@ -2,11 +2,11 @@
 
 evaluate_log / evaluate_corpus wire the whole pipeline together: extract the
 subtitle structure from each emission log, compute reading-speed samples and
-latency for every display mode (the MODES table says how for each mode), and
-aggregate corpus statistics in a CorpusTally: the tallies of consecutive
-runs of a corpus, folded anywhere (in worker processes, say), merge into the
-tally of the whole. screen_schedule gives the screen states that replay and
-SRT export render. Reports are serialized both as JSON and as an aligned
+latency for every display mode, and aggregate corpus statistics in a
+CorpusTally: the tallies of consecutive runs of a corpus, folded anywhere (in
+worker processes, say), merge into the tally of the whole. screen_schedule
+gives the screen states that replay and SRT export render, built by each
+mode's entry in MODES. Reports are serialized both as JSON and as an aligned
 text table with one row per mode (reading speed mean +/- std, conformity
 percentage, display delay).
 """
@@ -17,13 +17,12 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import EmissionLog, SubtitleLine, Terminator, _block_stops, _joined_length
 from .core import blocks_from_lines, extract_lines
 from .display import (
     MAX_ROW_CHARS,
-    SHOWN_AT,
     DisplayMode,
     DisplaySchedule,
     _pack_rows,
@@ -51,7 +50,6 @@ from .reading_speed import (
 __all__ = [
     "MODES",
     "MODE_ORDER",
-    "ModeSpec",
     "SegmentMetrics",
     "CorpusReport",
     "CorpusTally",
@@ -64,32 +62,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModeSpec:
-    """One display mode: units(log, lines, max_row_chars) cuts a segment into
-    the mode's units from its lines (one segmentation pass serves all modes);
-    schedule(units) builds the screen states that replay and SRT export
-    render. When a word is first on screen is display.SHOWN_AT's rule."""
-
-    units: Callable[[EmissionLog, Sequence[SubtitleLine], int], Sequence[Any]]
-    schedule: Callable[[Sequence[Any]], DisplaySchedule]
-
-
-# The entries look the module's functions up when called, not at import, so
-# anything that rebinds those names (a wrapper, a mock) sees every call.
-MODES: dict[DisplayMode, ModeSpec] = {
-    DisplayMode.WORD_FOR_WORD: ModeSpec(
-        units=lambda log, lines, max_row_chars: group_word_blocks(log.events, max_row_chars),
-        schedule=lambda units: schedule_word_mode(units),
+# Each mode's open screen schedule of one segment, from its log, its lines
+# (one segmentation pass serves all modes) and the row width. The entries
+# look the module's functions up when called, not at import, so anything that
+# rebinds those names (a wrapper, a mock) sees every call.
+MODES: dict[DisplayMode, Callable[[EmissionLog, Sequence[SubtitleLine], int], DisplaySchedule]] = {
+    DisplayMode.WORD_FOR_WORD: lambda log, lines, max_row_chars: schedule_word_mode(
+        group_word_blocks(log.events, max_row_chars)
     ),
-    DisplayMode.BLOCKS: ModeSpec(
-        units=lambda log, lines, max_row_chars: blocks_from_lines(lines),
-        schedule=lambda units: schedule_block_mode(units),
+    DisplayMode.BLOCKS: lambda log, lines, max_row_chars: schedule_block_mode(
+        blocks_from_lines(lines)
     ),
-    DisplayMode.SCROLLING_LINES: ModeSpec(
-        units=lambda log, lines, max_row_chars: lines,
-        schedule=lambda units: schedule_line_mode(units),
-    ),
+    DisplayMode.SCROLLING_LINES: lambda log, lines, max_row_chars: schedule_line_mode(lines),
 }
 
 # Fixed presentation order.
@@ -170,10 +154,10 @@ def evaluate_log(
         raise LatencyOverflowError(
             f"segment {segment_id}: AL is not a finite number of ms", None, "duration"
         )
-    closed = {_WORD: times, _BLOCKS: block_closed, _LINES: line_closed}
+    shown = {_WORD: times, _BLOCKS: block_closed, _LINES: line_closed}
     delays = {}
     for mode in MODE_ORDER:
-        delays[mode] = _delay_ms(al, SHOWN_AT[mode](times, closed[mode]), times)
+        delays[mode] = _delay_ms(al, shown[mode], times)
         if not math.isfinite(delays[mode]):
             raise LatencyOverflowError(
                 f"segment {segment_id}: {mode.value} delay is not a finite number of ms",
@@ -201,9 +185,8 @@ def screen_schedule(
 ) -> DisplaySchedule:
     """One segment's screen states in one mode, the last closed at segment
     end plus the wait-k delay (the unknown next emission)."""
-    spec = MODES[mode]
-    units = spec.units(log, extract_lines(log.events), max_row_chars)
-    return close_schedule(spec.schedule(units), log.end_time + log.delay_k)
+    schedule = MODES[mode](log, extract_lines(log.events), max_row_chars)
+    return close_schedule(schedule, log.end_time + log.delay_k)
 
 
 def evaluate_corpus(

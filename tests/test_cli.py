@@ -2,6 +2,8 @@ import io
 import json
 import math
 import os
+import threading
+import time
 
 import pytest
 
@@ -181,6 +183,42 @@ def test_replay_dump(logs_file, capsys):
 
 def test_replay_unknown_segment(logs_file):
     assert main(["replay", str(logs_file), "--segment", "nope", "--speed", "0"]) == 3
+
+
+@pytest.mark.parametrize("speed", ["1e-300", "5e-324"])
+def test_replay_speed_too_slow_to_sleep_exits_2(logs_file, capsys, speed):
+    argv = ["replay", str(logs_file), "--segment", "seg00000", "--speed", speed]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --speed ")
+
+
+def test_replay_sleeps_each_gap_over_speed(logs_file, capsys, monkeypatch):
+    argv = ["replay", str(logs_file), "--segment", "seg00000"]
+    assert main([*argv, "--speed", "0"]) == 0
+    expected = capsys.readouterr().out
+    waits = []
+    monkeypatch.setattr(time, "sleep", waits.append)
+    # a replay of about 30 years: slow, but time.sleep can still wait it out
+    assert main([*argv, "--speed", "1e-8"]) == 0
+    assert capsys.readouterr().out == expected
+    onsets = [float(line[1:-2]) for line in expected.splitlines() if line.startswith("[")]
+    assert len(waits) == len(onsets) - 1
+    assert sum(waits) == pytest.approx((onsets[-1] - onsets[0]) / 1e-8, rel=1e-3)
+
+
+def test_replay_checks_the_wait_against_the_monotonic_clock(logs_file, capsys, monkeypatch):
+    """time.sleep fails on a wait that would end TIMEOUT_MAX s or more after
+    the monotonic clock's zero, so the bound shrinks as the clock runs."""
+    monkeypatch.setattr(time, "sleep", lambda wait: None)
+    monkeypatch.setattr(time, "monotonic", lambda: threading.TIMEOUT_MAX - 1.0)
+    argv = ["replay", str(logs_file), "--segment", "seg00000", "--speed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --speed 1 ")
 
 
 def test_export_srt(tmp_path, logs_file):

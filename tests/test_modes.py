@@ -174,7 +174,8 @@ def test_evaluate_builds_no_block_group_or_schedule_objects(monkeypatch):
 
 def check_display_times(raw, max_row_chars=84):
     """Schedules' word_display_times and evaluate_log's delays against a
-    token walk of when each word is first shown (display.SHOWN_AT)."""
+    token walk of when each word is first shown: when emitted in word mode,
+    when its block or line is complete in the other two."""
     log = EmissionLog("seg", 5.0, 3, events=parse_token_stream(raw))
     emitted = [w.emit_time for w in log.words]
     metrics = evaluate_log(log, max_row_chars=max_row_chars) if emitted else None

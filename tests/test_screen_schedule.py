@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import livesubs.report as report
 from livesubs import (
     DisplayMode,
     EmissionLog,
@@ -67,6 +68,33 @@ def old_schedule(log, mode, max_row_chars):
 def test_screen_schedule_equals_schedule_path(logs, mode, max_row_chars):
     for log in logs:
         assert screen_schedule(log, mode, max_row_chars) == old_schedule(log, mode, max_row_chars)
+
+
+SPIED = {
+    DisplayMode.WORD_FOR_WORD: ("group_word_blocks", "schedule_word_mode"),
+    DisplayMode.BLOCKS: ("blocks_from_lines", "schedule_block_mode"),
+    DisplayMode.SCROLLING_LINES: ("schedule_line_mode",),
+}
+
+
+@pytest.mark.parametrize("mode", list(DisplayMode))
+def test_screen_schedule_calls_the_names_bound_in_report(logs, monkeypatch, mode):
+    """report.MODES looks its functions up when called, so a wrapper bound
+    over one of those names in report (a tracer, a spy) sees every call."""
+    expected = [screen_schedule(log, mode) for log in logs]
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in {name for names in SPIED.values() for name in names}:
+        monkeypatch.setattr(report, name, spy(name, getattr(report, name)))
+    assert [screen_schedule(log, mode) for log in logs] == expected
+    assert calls == list(SPIED[mode]) * len(logs)
 
 
 @pytest.mark.parametrize("mode", MODES)
