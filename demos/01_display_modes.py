@@ -4,6 +4,7 @@ Run: python3 demos/01_display_modes.py
 """
 
 from livesubs import (
+    close_schedule,
     extract_blocks,
     extract_lines,
     group_word_blocks,
@@ -30,7 +31,7 @@ for block in extract_blocks(events):
         print(f"  line @{line.break_time:.2f}s: {line.text!r}")
 
 for name, schedule in [
-    ("word-for-word", schedule_word_mode(group_word_blocks(events), eos_time=4.48)),
+    ("word-for-word", close_schedule(schedule_word_mode(group_word_blocks(events)), 4.48)),
     ("blocks", schedule_block_mode(extract_blocks(events))),
     ("scrolling lines", schedule_line_mode(extract_lines(events))),
 ]:

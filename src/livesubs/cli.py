@@ -33,6 +33,7 @@ escaped in a record's id or words, is a data error that names its line.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -370,6 +371,10 @@ def _write_file(name: str, data: bytes, dir_fd: int) -> None:
         os.close(fd)
 
 
+def _unnamable(seg_id: str, out: Path, lineno: int) -> SchemaError:
+    return SchemaError(f"segment id {seg_id!r} cannot name a file in {out}", lineno, "id")
+
+
 def cmd_export_srt(args) -> int:
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -382,13 +387,16 @@ def cmd_export_srt(args) -> int:
         for chunk in _map_chunks(_render_srt_chunk, args.logs):
             for lineno, (seg_id, data, empty) in chunk:
                 if _UNSAFE_ID_CHARS.intersection(seg_id):
-                    raise SchemaError(
-                        f"segment id {seg_id!r} cannot name a file in {out}", lineno, "id"
-                    )
+                    raise _unnamable(seg_id, out, lineno)
                 _first_use(first_line, seg_id, lineno)
                 if empty:
                     print(f"warning: segment {seg_id} is empty", file=sys.stderr)
-                _write_file(f"{seg_id}.srt", data, dir_fd)
+                try:
+                    _write_file(f"{seg_id}.srt", data, dir_fd)
+                except OSError as exc:
+                    if exc.errno != errno.ENAMETOOLONG:
+                        raise
+                    raise _unnamable(seg_id, out, lineno) from None
     finally:
         os.close(dir_fd)
     print(f"wrote {len(first_line)} SRT files to {out}")

@@ -117,22 +117,19 @@ def _schedule(
     rows: Sequence[tuple[str, ...]],
     onsets: Sequence[float],
     shown: Sequence[float],
-    end: float | None = None,
 ) -> DisplaySchedule:
     """The mode's schedule: rows[i] on screen from onsets[i], tiled as _tiled
     says; the i-th word in emission order is first shown at shown[i]."""
-    states = tuple(ScreenState(rows[i], on, off) for i, on, off in _tiled(onsets, end))
+    states = tuple(ScreenState(rows[i], on, off) for i, on, off in _tiled(onsets))
     return DisplaySchedule(mode, states, dict(enumerate(shown)))
 
 
-def _tiled(
-    onsets: Sequence[float], end: float | None = None
-) -> list[tuple[int, float, float | None]]:
+def _tiled(onsets: Sequence[float]) -> list[tuple[int, float, float | None]]:
     """(unit, onset, offset) of the screen states of units shown from their
-    onsets: each until the next unit's onset, the last until end (None:
-    open-ended). Burst emissions produce zero-length states; they are
-    dropped so states tile time without overlap."""
-    offsets = [*onsets[1:], end]
+    onsets: each until the next unit's onset, the last open-ended (offset
+    None). Burst emissions produce zero-length states; they are dropped so
+    states tile time without overlap."""
+    offsets = [*onsets[1:], None]
     return [
         (i, onset, offset)
         for i, (onset, offset) in enumerate(zip(onsets, offsets))
@@ -140,11 +137,10 @@ def _tiled(
     ]
 
 
-def schedule_word_mode(
-    blocks: Sequence[WordBlock], eos_time: float | None = None
-) -> DisplaySchedule:
+def schedule_word_mode(blocks: Sequence[WordBlock]) -> DisplaySchedule:
     """Word-for-word display: each word appears when emitted; the row is
-    cleared when the next block's first word is emitted (or at segment end)."""
+    cleared when the next block's first word is emitted. The last state is
+    open-ended, as in every mode, until close_schedule closes it."""
     rows: list[tuple[str]] = []
     for block in blocks:
         row = ""
@@ -152,7 +148,7 @@ def schedule_word_mode(
             row = w.surface if not row else row + " " + w.surface
             rows.append((row,))
     onsets = [w.emit_time for block in blocks for w in block.words]
-    return _schedule(DisplayMode.WORD_FOR_WORD, rows, onsets, onsets, eos_time)
+    return _schedule(DisplayMode.WORD_FOR_WORD, rows, onsets, onsets)
 
 
 def schedule_block_mode(blocks: Sequence[SubtitleBlock]) -> DisplaySchedule:

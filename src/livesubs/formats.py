@@ -132,7 +132,11 @@ def _record_columns(record: dict, line: int | None) -> tuple:
     for j, ev in enumerate(_require(record, "events", line)):
         if not isinstance(ev, dict) or "t" not in ev or "w" not in ev:
             raise SchemaError(f"event {j} needs 't' and 'w'", line, "events")
-        w, t = ev["w"], _event_time(j, ev, line)
+        w, t = ev["w"], ev["t"]
+        if type(t) is not float:  # nearly every time is one
+            if not _is_number(t):
+                raise SchemaError(f"event {j} needs a number 't', got {ev!r}", line, "events")
+            t = _float(t, line, "events")
         if not isinstance(w, str):
             raise SchemaError(f"event {j} needs a string 'w', got {ev!r}", line, "events")
         if not w.isascii() and not _utf8(w):
@@ -161,16 +165,6 @@ def _record_columns(record: dict, line: int | None) -> tuple:
     except StreamError as exc:
         raise SchemaError(exc.message, line, "events") from exc
     return columns
-
-
-def _event_time(j: int, ev: dict, line: int | None) -> float:
-    """Event j's 't' as a float: a JSON number, which a bool is not."""
-    t = ev["t"]
-    if type(t) is float:
-        return t
-    if not _is_number(t):
-        raise SchemaError(f"event {j} needs a number 't', got {ev!r}", line, "events")
-    return _float(t, line, "events")
 
 
 def log_to_record(log: EmissionLog) -> dict:
@@ -239,10 +233,10 @@ def _read_records(source: Iterable[str], start: int, build) -> Iterator:
 
 
 def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
-    """Write each log as one corpus line. A field or event of a type the
-    reader rejects, or an event whose surface reads back as another kind,
-    raises the reader's SchemaError, naming the field, and nothing of that
-    log is written."""
+    """Write each log as one corpus line. A log the reader would reject
+    raises the reader's SchemaError (line None); an event whose surface
+    reads back as another kind raises one naming field 'events'. Nothing of
+    a refused log is written."""
     for log in logs:
         events = log.events
         line = _record_line(
@@ -250,11 +244,8 @@ def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
             [ev.surface for ev in events], [ev.emit_time for ev in events],
             log.consumed_source,
         )
-        record = log_to_record(log)
-        for field in _TYPES:
-            _require(record, field, None)
-        for j, (ev, written) in enumerate(zip(events, record["events"])):
-            _event_time(j, written, None)
+        _record_columns(log_to_record(log), None)
+        for j, ev in enumerate(events):
             read = classify_surface(ev.surface)
             if read is not ev.kind:
                 raise SchemaError(
@@ -390,7 +381,8 @@ def export_srt(schedule: DisplaySchedule) -> str:
     """Render a blocks-mode schedule as SubRip text.
 
     The schedule must have closed offsets (close the final state at segment
-    end plus the wait-k delay first).
+    end plus the wait-k delay first), and every cue must end before 100 h,
+    the largest time SRT writes.
     """
     if schedule.mode is not DisplayMode.BLOCKS:
         raise ValueError(f"SRT export needs a blocks-mode schedule, got {schedule.mode}")
@@ -400,6 +392,8 @@ def export_srt(schedule: DisplaySchedule) -> str:
             raise ValueError("schedule has an open-ended state; close it first")
         if state.onset < prev_end:
             raise ValueError(f"overlapping cues: cue {n} starts before cue {n - 1} ends")
+        if not 1000.0 * state.offset < SRT_END_MS:
+            raise ValueError(f"cue {n} ends at {state.offset!r} s, past the largest SRT time")
         prev_end = state.offset
     return _srt_text([(state.onset, state.offset, state.rows) for state in schedule.states])
 

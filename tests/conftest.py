@@ -4,12 +4,30 @@ from __future__ import annotations
 
 import random
 import string
+import warnings
 
 import pytest
 
 from livesubs import AnnotatedReference, WaitKConfig, simulate_waitk
 
 STEP = 0.280
+
+
+def pytest_configure(config):
+    """When a property fails, hypothesis's pytest plugin imports
+    hypothesis.extra._patching to write an @example patch. With libcst
+    installed, that import can raise a DeprecationWarning from a dependency
+    (mypy_extensions.TypedDict), which filterwarnings = error turns into an
+    INTERNALERROR that hides the falsifying example and stops the run. So
+    import it once here, with that warning ignored. (A hook, not a
+    module-level import: perfbench loads this module for make_refs, and the
+    import would add to the RSS of every command it starts.)"""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:  # no libcst: the plugin writes no patch
+            pass
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -365,6 +365,16 @@ def test_export_rejects_ids_that_are_not_file_names(tmp_path, logs_file, capsys,
     ]
 
 
+def test_export_names_the_line_of_an_id_too_long_for_a_file_name(tmp_path, logs_file, capsys):
+    seg_id = "a" * 300
+    corpus = _with_id(logs_file, tmp_path, 2, seg_id)
+    out_dir = tmp_path / "srt"
+    assert main(["export-srt", str(corpus), "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: line 2, field 'id': segment id {seg_id!r} cannot name a file in {out_dir}\n"
+    assert [p.name for p in out_dir.iterdir()] == ["seg00000.srt"]
+
+
 def test_export_rejects_duplicate_ids(tmp_path, logs_file, capsys):
     corpus = _with_id(logs_file, tmp_path, 7, "seg00001")
     assert main(["export-srt", str(corpus), "--out", str(tmp_path / "srt")]) == 3

@@ -153,6 +153,15 @@ class TestSrt:
         cues = parse_srt(export_srt(sched))
         assert cues[-1][1] == pytest.approx(2.0 + 0.84, abs=1e-3)
 
+    def test_cue_past_the_largest_srt_time_rejected(self):
+        # 359,999.5 s plus the 0.84 s wait-3 delay ends past 99:59:59,999
+        sched = self._schedule([("a", 359999.5), ("<eob>", 359999.5)], k=3)
+        with pytest.raises(ValueError, match="cue 1 ends at 360000.34 s, past the largest SRT time"):
+            export_srt(sched)
+        # one cue earlier ends in time
+        sched = self._schedule([("a", 359998.5), ("<eob>", 359999.0)], k=3)
+        assert export_srt(sched) == "1\n99:59:59,000 --> 99:59:59,840\na\n"
+
     def test_open_schedule_rejected(self):
         from livesubs import parse_token_stream
 
@@ -327,14 +336,26 @@ def _logs(draw):
                      parse_token_stream([("\x00\"", 0.0), ("<eos>", 1e16)]), (0, 1e308)))
 def test_corpus_line_is_what_json_dumps_writes(log):
     expected = json.dumps(log_to_record(log), ensure_ascii=False, allow_nan=False) + "\n"
-    assert corpus_text([log]) == expected
-    # The simulator passes one list as both times and consumed source.
     times = [ev.emit_time for ev in log.events]
+    fields = (log.segment_id, log.source_duration, log.wait_k, log.step_size,
+              [ev.surface for ev in log.events], times)
+    assert _record_line(*fields, log.consumed_source) == expected
+    # The writer writes that line when the reader accepts it, and otherwise
+    # raises the reader's error and writes nothing.
+    out = io.StringIO()
+    try:
+        list(read_log_corpus([expected]))
+    except SchemaError as read:
+        with pytest.raises(SchemaError) as info:
+            write_log_corpus([log], out)
+        assert (info.value.line, info.value.field) == (None, read.field)
+        assert info.value.message == read.message
+        assert out.getvalue() == ""
+    else:
+        assert corpus_text([log]) == expected
+    # The simulator passes one list as both times and consumed source.
     record = {**log_to_record(log), "g": times}
-    line = _record_line(
-        log.segment_id, log.source_duration, log.wait_k, log.step_size,
-        [ev.surface for ev in log.events], times, times,
-    )
+    line = _record_line(*fields, times)
     assert line == json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n"
 
 # Faults, one or two of which are set in a valid event list, so that each
@@ -613,6 +634,39 @@ def test_writer_refuses_a_time_the_reader_rejects():
     with pytest.raises(SchemaError) as info:
         write_log_corpus([EmissionLog("s0", 2.0, 3, events=(a,)), log], out)
     assert str(info.value) == "record, field 'events': event 1 needs a number 't', got {'t': True, 'w': 'b'}"
+    # the log before it is written, nothing of the refused one
+    assert [r.segment_id for r in read_log_corpus(out.getvalue().splitlines())] == ["s0"]
+
+
+_A = parse_token_stream([("a", 0.5)])
+
+
+@pytest.mark.parametrize(
+    "log, field, message",
+    [
+        (EmissionLog("s", 1.0, 10**400), "k", "step * k must be a finite number of seconds"),
+        (EmissionLog("s", 1.0, 3, events=_A, consumed_source=(5.0,)), "g",
+         "entry 0 is 5.0; entries must be numbers in [0, 1.0] that never decrease"),
+        (EmissionLog("s", 1.0, 3, events=_A, consumed_source=(-1.0,)), "g",
+         "entry 0 is -1.0; entries must be numbers in [0, 1.0] that never decrease"),
+        (EmissionLog("\ud800", 1.0, 3), "id", "not UTF-8 text: '\\ud800'"),
+        (EmissionLog("s", 10**400, 3), "duration", "integer too large for a float"),
+        # the reader's rule comes before the writer's own kind check
+        (EmissionLog("s", 1.0, 3, events=(TokenEvent("<eos>", TokenKind.WORD, 0.5), *_A)),
+         "events", "segment s: <eos> is not the last event"),
+    ],
+    ids=["k-overflow", "g-past-duration", "g-negative", "id-surrogate", "duration-overflow",
+         "eos-not-last"],
+)
+def test_writer_refuses_a_value_the_reader_rejects(log, field, message):
+    line = json.dumps(log_to_record(log), ensure_ascii=False) + "\n"
+    with pytest.raises(SchemaError) as read:
+        list(read_log_corpus([line]))
+    assert (read.value.field, read.value.message) == (field, message)
+    out = io.StringIO()
+    with pytest.raises(SchemaError) as info:
+        write_log_corpus([EmissionLog("s0", 1.0, 3, events=_A), log], out)
+    assert (info.value.line, info.value.field, info.value.message) == (None, field, message)
     # the log before it is written, nothing of the refused one
     assert [r.segment_id for r in read_log_corpus(out.getvalue().splitlines())] == ["s0"]
 
