@@ -28,6 +28,11 @@ log of the one segment it shows.
 
 Input files must be UTF-8 text: an undecodable byte, or a lone surrogate
 escaped in a record's id or words, is a data error that names its line.
+
+A command imports what it runs. At module level this file imports only what
+the argument parser needs, so --help loads none of the measuring modules;
+each cmd_* imports its modules at its entry, before any worker is forked, so
+the workers inherit them and import none.
 """
 
 from __future__ import annotations
@@ -41,17 +46,8 @@ import time
 from collections import deque
 from functools import partial
 from itertools import chain, islice
-from pathlib import Path
-from threading import TIMEOUT_MAX
 
-from .core import StreamError, _built_log, _check_columns, delay_k_seconds, finite_delay_k
-from .display import MAX_ROW_CHARS, DisplayMode
-from .formats import SRT_END_MS, SchemaError, _read_columns, _record_line, _srt_of_columns
-from .formats import read_annotated_refs, read_log_corpus
-from .reading_speed import MAX_CPL, MIN_CPL, RS_THRESHOLD_CPS, rs_stats
-from .report import MODE_ORDER, CorpusTally, evaluate_log, render_table
-from .report import screen_schedule, write_report
-from .waitk import AnnotatedReference, WaitKConfig, _emission_columns
+from .defaults import MAX_CPL, MAX_ROW_CHARS, MIN_CPL, RS_THRESHOLD_CPS, DisplayMode
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,7 +64,9 @@ def _open_text(path: str):
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args):
+    from pathlib import Path
+
     if args.out is not None:
         return Path(args.out)
     return Path(os.environ.get("LIVESUBS_OUT", "."))
@@ -198,21 +196,11 @@ def _map_chunks(fn, path: str):
                 yield pending.popleft().get()
 
 
-def _simulate_line(cfg: WaitKConfig, ref: AnnotatedReference) -> tuple[str, str]:
-    """(segment id, corpus line) of ref: the line write_log_corpus writes for
-    simulate_waitk(ref, cfg), made from the columns once they are checked;
-    a reference they fail raises the constructors' error."""
-    times, consumed = _emission_columns(ref, cfg)
-    _check_columns(ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times, consumed)
-    line = _record_line(
-        ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times, consumed
-    )
-    return ref.segment_id, line
-
-
 def _first_use(first_line: dict[str, int], seg_id: str, lineno: int) -> None:
     """Note that seg_id is on line lineno; an id seen before is a SchemaError."""
     if seg_id in first_line:
+        from .formats import SchemaError
+
         raise SchemaError(
             f"duplicate segment id {seg_id!r} (first on line {first_line[seg_id]})",
             lineno, "id",
@@ -221,17 +209,31 @@ def _first_use(first_line: dict[str, int], seg_id: str, lineno: int) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .core import _check_columns
+    from .formats import _record_line, read_annotated_refs
+    from .waitk import WaitKConfig, _emission_columns
+
     cfg = WaitKConfig(
         k=args.k,
         step_size=args.step_ms / 1000.0,
         compute_latency=args.latency_ms / 1000.0,
         flush_at_end=not args.no_flush,
     )
+
+    def simulate_line(ref) -> tuple[str, str]:
+        """(segment id, corpus line) of ref: the line write_log_corpus writes
+        for simulate_waitk(ref, cfg), made from the columns once they are
+        checked; a reference they fail raises the constructors' error."""
+        times, consumed = _emission_columns(ref, cfg)
+        columns = (ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times, consumed)
+        _check_columns(*columns)
+        return ref.segment_id, _record_line(*columns)
+
     first_line: dict[str, int] = {}
     lines: list[str] = []
     # Nothing is written until every reference has passed.
     with _open_text(args.refs) as f:
-        simulated = _each_record(read_annotated_refs, 1, f, partial(_simulate_line, cfg), "tokens")
+        simulated = _each_record(read_annotated_refs, 1, f, simulate_line, "tokens")
         for lineno, (seg_id, line) in simulated:
             _first_use(first_line, seg_id, lineno)
             lines.append(line)
@@ -249,6 +251,8 @@ def _each_record(read, start: int, lines, work, field: str | None = None):
     or read_annotated_refs) finds in lines, the first of which is line start
     of its file. A StreamError from work is raised naming the line, and field
     when it names none."""
+    from .core import StreamError
+
     for lineno, line in enumerate(lines, start):
         for record in read((line,), start=lineno):
             try:
@@ -260,6 +264,9 @@ def _each_record(read, start: int, lines, work, field: str | None = None):
 
 def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk):
     """One run of corpus lines folded into a CorpusTally."""
+    from .formats import read_log_corpus
+    from .report import CorpusTally, evaluate_log
+
     measure = partial(evaluate_log, min_cpl=min_cpl, max_cpl=max_cpl, max_row_chars=max_row_chars)
     tally = CorpusTally()
     for _, metrics in _each_record(read_log_corpus, *chunk, measure):
@@ -268,6 +275,11 @@ def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk):
 
 
 def cmd_evaluate(args) -> int:
+    from pathlib import Path
+
+    from .formats import read_log_corpus  # noqa: F401  (loaded for _evaluate_chunk's workers)
+    from .report import MODE_ORDER, CorpusTally, render_table, write_report
+
     work = partial(_evaluate_chunk, args.cpl_min, args.cpl_max, args.max_row_chars)
     tally = CorpusTally()
     for run in _map_chunks(work, args.logs):
@@ -287,6 +299,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from threading import TIMEOUT_MAX
+
+    from .core import _built_log
+    from .formats import _read_columns
+    from .reading_speed import rs_stats
+    from .report import evaluate_log, screen_schedule
+
     def measure(columns):
         # Before any frame is shown: a segment whose latency no float holds shows none.
         if columns[0] == args.segment:
@@ -337,24 +356,25 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _render_srt(columns) -> tuple[str, bytes, bool]:
-    """(segment id, SRT file contents, no cues) of one record's checked columns."""
-    seg_id, _, k, step, surfaces, times, _ = columns
-    # The last cue ends last, at end_time + delay_k, which may be infinite.
-    end_time = times[-1] if times else 0.0
-    last_end = end_time + delay_k_seconds(k, step)
-    if not 1000.0 * last_end < SRT_END_MS:
-        field = "k" if 1000.0 * end_time < SRT_END_MS else "events"
-        raise SchemaError(
-            f"segment {seg_id}: the last cue ends past the largest SRT time", None, field
-        )
-    text = _srt_of_columns(surfaces, times, last_end)
-    return seg_id, text.encode("utf-8"), not text
-
-
 def _render_srt_chunk(chunk) -> list[tuple[int, tuple[str, bytes, bool]]]:
     """(line number, (segment id, SRT file contents, no cues)) per record."""
-    return list(_each_record(_read_columns, *chunk, _render_srt))
+    from .core import delay_k_seconds
+    from .formats import SRT_END_MS, SchemaError, _read_columns, _srt_of_columns
+
+    def render(columns) -> tuple[str, bytes, bool]:
+        seg_id, _, k, step, surfaces, times, _ = columns
+        # The last cue ends last, at end_time + delay_k, which may be infinite.
+        end_time = times[-1] if times else 0.0
+        last_end = end_time + delay_k_seconds(k, step)
+        if not 1000.0 * last_end < SRT_END_MS:
+            field = "k" if 1000.0 * end_time < SRT_END_MS else "events"
+            raise SchemaError(
+                f"segment {seg_id}: the last cue ends past the largest SRT time", None, field
+            )
+        text = _srt_of_columns(surfaces, times, last_end)
+        return seg_id, text.encode("utf-8"), not text
+
+    return list(_each_record(_read_columns, *chunk, render))
 
 
 _UNSAFE_ID_CHARS = {c for c in ("/", os.sep, os.altsep, "\0") if c}
@@ -371,11 +391,13 @@ def _write_file(name: str, data: bytes, dir_fd: int) -> None:
         os.close(fd)
 
 
-def _unnamable(seg_id: str, out: Path, lineno: int) -> SchemaError:
-    return SchemaError(f"segment id {seg_id!r} cannot name a file in {out}", lineno, "id")
-
-
 def cmd_export_srt(args) -> int:
+    # Also loads what _render_srt_chunk runs, before _map_chunks forks workers.
+    from .formats import SchemaError
+
+    def unnamable(seg_id: str, lineno: int) -> SchemaError:
+        return SchemaError(f"segment id {seg_id!r} cannot name a file in {out}", lineno, "id")
+
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     first_line: dict[str, int] = {}
@@ -387,7 +409,7 @@ def cmd_export_srt(args) -> int:
         for chunk in _map_chunks(_render_srt_chunk, args.logs):
             for lineno, (seg_id, data, empty) in chunk:
                 if _UNSAFE_ID_CHARS.intersection(seg_id):
-                    raise _unnamable(seg_id, out, lineno)
+                    raise unnamable(seg_id, lineno)
                 _first_use(first_line, seg_id, lineno)
                 if empty:
                     print(f"warning: segment {seg_id} is empty", file=sys.stderr)
@@ -396,7 +418,7 @@ def cmd_export_srt(args) -> int:
                 except OSError as exc:
                     if exc.errno != errno.ENAMETOOLONG:
                         raise
-                    raise _unnamable(seg_id, out, lineno) from None
+                    raise unnamable(seg_id, lineno) from None
     finally:
         os.close(dir_fd)
     print(f"wrote {len(first_line)} SRT files to {out}")
@@ -414,6 +436,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Imported once parsed: --help and argument errors exit without it.
+    from .core import StreamError, finite_delay_k
+
     if hasattr(args, "cpl_min") and args.cpl_min > args.cpl_max:
         parser.error(f"--cpl-min {args.cpl_min} is greater than --cpl-max {args.cpl_max}")
     if args.command == "simulate" and not finite_delay_k(args.k, args.step_ms / 1000.0):

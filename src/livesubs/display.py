@@ -10,10 +10,10 @@ mode when its unit is complete. The final state of a segment is open-ended
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .core import SubtitleBlock, SubtitleLine, TokenEvent
+from .defaults import MAX_ROW_CHARS, DisplayMode
 
 __all__ = [
     "DisplayMode",
@@ -27,20 +27,6 @@ __all__ = [
     "schedule_line_mode",
     "close_schedule",
 ]
-
-# Maximum characters of a full subtitle row (TED-style two-line block).
-MAX_ROW_CHARS = 84
-
-
-class DisplayMode(Enum):
-    WORD_FOR_WORD = "word"
-    BLOCKS = "block"
-    SCROLLING_LINES = "line"
-
-    # Members are singletons compared by identity, so the identity hash is
-    # consistent with equality; Enum's default hashes the name in Python,
-    # which is slow for the per-segment, per-mode dicts.
-    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

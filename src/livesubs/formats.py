@@ -381,8 +381,9 @@ def export_srt(schedule: DisplaySchedule) -> str:
     """Render a blocks-mode schedule as SubRip text.
 
     The schedule must have closed offsets (close the final state at segment
-    end plus the wait-k delay first), and every cue must end before 100 h,
-    the largest time SRT writes.
+    end plus the wait-k delay first). Every cue must start at 0 s or later,
+    end no earlier than it starts and end before 100 h, the largest time
+    SRT writes.
     """
     if schedule.mode is not DisplayMode.BLOCKS:
         raise ValueError(f"SRT export needs a blocks-mode schedule, got {schedule.mode}")
@@ -390,6 +391,10 @@ def export_srt(schedule: DisplaySchedule) -> str:
     for n, state in enumerate(schedule.states, start=1):
         if state.offset is None:
             raise ValueError("schedule has an open-ended state; close it first")
+        if not state.onset >= 0:
+            raise ValueError(f"cue {n} starts at {state.onset!r} s, before 0 s")
+        if state.offset < state.onset:
+            raise ValueError(f"cue {n} ends at {state.offset!r} s, before it starts")
         if state.onset < prev_end:
             raise ValueError(f"overlapping cues: cue {n} starts before cue {n - 1} ends")
         if not 1000.0 * state.offset < SRT_END_MS:

@@ -21,7 +21,8 @@ from statistics import fmean, mean, pstdev
 from typing import Sequence
 
 from .core import SubtitleBlock, SubtitleLine
-from .display import DisplayMode, WordBlock
+from .defaults import MAX_CPL, MIN_CPL, RS_THRESHOLD_CPS, DisplayMode
+from .display import WordBlock
 
 __all__ = [
     "ReadingSpeedSample",
@@ -38,11 +39,6 @@ __all__ = [
     "MIN_CPL",
     "MAX_CPL",
 ]
-
-# Conformity defaults: 21 cps reading-speed ceiling, 6-42 characters per line.
-RS_THRESHOLD_CPS = 21.0
-MIN_CPL = 6
-MAX_CPL = 42
 
 
 @dataclass(frozen=True, slots=True)

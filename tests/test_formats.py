@@ -237,6 +237,25 @@ def test_overlapping_cues_rejected_even_under_optimize():
         assert "overlapping cues" in proc.stdout
 
 
+def _one_cue(onset, offset):
+    from livesubs import DisplayMode, DisplaySchedule, ScreenState
+
+    return DisplaySchedule(DisplayMode.BLOCKS, (ScreenState(("a",), onset, offset),), {})
+
+
+@pytest.mark.parametrize("onset", [-2.0, -1e-300, math.nan])
+def test_cue_starting_before_zero_rejected(onset):
+    with pytest.raises(ValueError, match=rf"cue 1 starts at {onset!r} s, before 0 s"):
+        export_srt(_one_cue(onset, 1.0))
+
+
+def test_cue_ending_before_it_starts_rejected():
+    with pytest.raises(ValueError, match=r"cue 1 ends at 3\.0 s, before it starts"):
+        export_srt(_one_cue(5.0, 3.0))
+    # a cue may end as it starts, at 0 s
+    assert export_srt(_one_cue(0.0, 0.0)) == "1\n00:00:00,000 --> 00:00:00,000\na\n"
+
+
 @pytest.mark.parametrize(
     "exc",
     [

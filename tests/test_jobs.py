@@ -259,3 +259,75 @@ def test_help_does_not_import_multiprocessing():
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "argparse" in imported
     assert not [m for m in imported if m.startswith("multiprocessing")]
+
+
+def _src_env():
+    src = Path(livesubs.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+def _modules_after(code):
+    """The modules a fresh interpreter without site has loaded after code."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"{code}\nimport sys; print(*sorted(sys.modules))"],
+        env=_src_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_only_the_parser_and_its_defaults():
+    loaded = _modules_after("import livesubs.cli")
+    assert {m for m in loaded if m.startswith("livesubs")} == {
+        "livesubs", "livesubs.cli", "livesubs.defaults",
+    }
+    for heavy in ("dataclasses", "statistics", "multiprocessing"):
+        assert heavy not in loaded
+
+
+def test_simulate_imports_no_measuring_module(tmp_path):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text(
+        "s0\t2.5\twe meet <eol> at noon <eob> <eos>\n"
+        "s1\t1.2\tthe talk starts <eob> then <eos>\n"
+        "s2\t1.0\tbye <eos>\n",
+        encoding="utf-8",
+    )
+    argv = ["simulate", str(refs), "--out", str(tmp_path / "e.jsonl")]
+    loaded = _modules_after(f"from livesubs.cli import main; assert main({argv!r}) == 0")
+    assert "livesubs.waitk" in loaded
+    for measuring in ("livesubs.report", "livesubs.reading_speed", "livesubs.latency", "statistics"):
+        assert measuring not in loaded
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 CPUs, so that workers are started")
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="only forked workers inherit modules"
+)
+@pytest.mark.parametrize("command", ["evaluate", "export-srt"])
+def test_workers_import_no_module(tmp_path, command):
+    """The workers are forked after the command has imported what they run:
+    under -X importtime, a module a worker imported would be listed again."""
+    refs = tmp_path / "refs.tsv"
+    with open(refs, "w", encoding="utf-8") as f:
+        write_annotated_refs(make_refs(3 * cli.CHUNK_LINES, seed=5), f)
+    logs = tmp_path / "e.jsonl"
+    assert main(["simulate", str(refs), "--out", str(logs)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "livesubs.cli", command, str(logs),
+         "--out", str(tmp_path / "out")],
+        env=_src_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    ours = [m for m in imported if m.startswith("livesubs.")]
+    assert "livesubs.formats" in ours
+    assert len(ours) == len(set(ours)), sorted(ours)
