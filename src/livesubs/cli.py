@@ -17,8 +17,9 @@ processes, one per CPU this process may run on but no more than there are
 runs, parse each run and do the work (a single worker is this process).
 Results come back, and are merged or written, in file order, so the output
 does not depend on the worker count. An evaluate worker sends back one
-CorpusTally per run (floats, counts and ids), an export-srt worker the
-rendered SRT files.
+CorpusTally per run (floats, counts, and ids with their line numbers), an
+export-srt worker the rendered SRT files. As the results come back, this
+process rejects a segment id already used on an earlier line.
 
 The three corpus commands check each record they read by the same rules.
 evaluate reads each record as an EmissionLog (read_log_corpus). export-srt
@@ -209,7 +210,6 @@ def _first_use(first_line: dict[str, int], seg_id: str, lineno: int) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from .core import _check_columns
     from .formats import _record_line, read_annotated_refs
     from .waitk import WaitKConfig, _emission_columns
 
@@ -224,10 +224,7 @@ def cmd_simulate(args) -> int:
         """(segment id, corpus line) of ref: the line write_log_corpus writes
         for simulate_waitk(ref, cfg), made from the columns once they are
         checked; a reference they fail raises the constructors' error."""
-        times, consumed = _emission_columns(ref, cfg)
-        columns = (ref.segment_id, ref.duration, cfg.k, cfg.step_size, ref.tokens, times, consumed)
-        _check_columns(*columns)
-        return ref.segment_id, _record_line(*columns)
+        return ref.segment_id, _record_line(*_emission_columns(ref, cfg))
 
     first_line: dict[str, int] = {}
     lines: list[str] = []
@@ -269,8 +266,8 @@ def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk):
 
     measure = partial(evaluate_log, min_cpl=min_cpl, max_cpl=max_cpl, max_row_chars=max_row_chars)
     tally = CorpusTally()
-    for _, metrics in _each_record(read_log_corpus, *chunk, measure):
-        tally.add(metrics)
+    for lineno, metrics in _each_record(read_log_corpus, *chunk, measure):
+        tally.add(metrics, lineno)
     return tally
 
 
@@ -282,7 +279,10 @@ def cmd_evaluate(args) -> int:
 
     work = partial(_evaluate_chunk, args.cpl_min, args.cpl_max, args.max_row_chars)
     tally = CorpusTally()
+    first_line: dict[str, int] = {}
     for run in _map_chunks(work, args.logs):
+        for seg_id, lineno in zip(run.ids, run.lines):
+            _first_use(first_line, seg_id, lineno)
         tally.merge(run)
     report = tally.report(args.rs_threshold, args.cpl_min, args.cpl_max)
     if report.n_segments == 0:
@@ -363,15 +363,14 @@ def _render_srt_chunk(chunk) -> list[tuple[int, tuple[str, bytes, bool]]]:
 
     def render(columns) -> tuple[str, bytes, bool]:
         seg_id, _, k, step, surfaces, times, _ = columns
-        # The last cue ends last, at end_time + delay_k, which may be infinite.
         end_time = times[-1] if times else 0.0
-        last_end = end_time + delay_k_seconds(k, step)
-        if not 1000.0 * last_end < SRT_END_MS:
+        try:
+            text = _srt_of_columns(surfaces, times, end_time + delay_k_seconds(k, step))
+        except ValueError:  # a column cue fails only by ending at 100 h or later
             field = "k" if 1000.0 * end_time < SRT_END_MS else "events"
             raise SchemaError(
                 f"segment {seg_id}: the last cue ends past the largest SRT time", None, field
-            )
-        text = _srt_of_columns(surfaces, times, last_end)
+            ) from None
         return seg_id, text.encode("utf-8"), not text
 
     return list(_each_record(_read_columns, *chunk, render))

@@ -382,33 +382,34 @@ def export_srt(schedule: DisplaySchedule) -> str:
 
     The schedule must have closed offsets (close the final state at segment
     end plus the wait-k delay first). Every cue must start at 0 s or later,
-    end no earlier than it starts and end before 100 h, the largest time
-    SRT writes.
+    no earlier than the cue before it ends, end no earlier than it starts
+    and end before 100 h, the largest time SRT writes.
     """
     if schedule.mode is not DisplayMode.BLOCKS:
         raise ValueError(f"SRT export needs a blocks-mode schedule, got {schedule.mode}")
-    prev_end = float("-inf")
-    for n, state in enumerate(schedule.states, start=1):
-        if state.offset is None:
-            raise ValueError("schedule has an open-ended state; close it first")
-        if not state.onset >= 0:
-            raise ValueError(f"cue {n} starts at {state.onset!r} s, before 0 s")
-        if state.offset < state.onset:
-            raise ValueError(f"cue {n} ends at {state.offset!r} s, before it starts")
-        if state.onset < prev_end:
-            raise ValueError(f"overlapping cues: cue {n} starts before cue {n - 1} ends")
-        if not 1000.0 * state.offset < SRT_END_MS:
-            raise ValueError(f"cue {n} ends at {state.offset!r} s, past the largest SRT time")
-        prev_end = state.offset
     return _srt_text([(state.onset, state.offset, state.rows) for state in schedule.states])
 
 
-def _srt_text(cues: Sequence[tuple[float, float, Sequence[str]]]) -> str:
-    """SubRip text of (onset, offset, rows) cues, numbered from 1."""
-    return "\n".join([
-        f"{n}\n{format_srt_time(onset)} --> {format_srt_time(offset)}\n" + "\n".join(rows) + "\n"
-        for n, (onset, offset, rows) in enumerate(cues, start=1)
-    ])
+def _srt_text(cues: Iterable[tuple[float, float | None, Sequence[str]]]) -> str:
+    """SubRip text of (onset, offset, rows) cues, numbered from 1. The one cue
+    check of both export paths: the first cue to break a rule of export_srt raises."""
+    texts = []
+    prev_end = -math.inf
+    for n, (onset, offset, rows) in enumerate(cues, start=1):
+        if offset is None:
+            raise ValueError("schedule has an open-ended state; close it first")
+        if not onset >= 0:
+            raise ValueError(f"cue {n} starts at {onset!r} s, before 0 s")
+        if offset < onset:
+            raise ValueError(f"cue {n} ends at {offset!r} s, before it starts")
+        if onset < prev_end:
+            raise ValueError(f"overlapping cues: cue {n} starts before cue {n - 1} ends")
+        if not 1000.0 * offset < SRT_END_MS:
+            raise ValueError(f"cue {n} ends at {offset!r} s, past the largest SRT time")
+        prev_end = offset
+        text = "\n".join(rows)
+        texts.append(f"{n}\n{format_srt_time(onset)} --> {format_srt_time(offset)}\n{text}\n")
+    return "\n".join(texts)
 
 
 def _srt_of_columns(surfaces: Sequence[str], times: Sequence[float], end_time: float) -> str:

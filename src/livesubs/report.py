@@ -211,7 +211,8 @@ def evaluate_corpus(
 class CorpusTally:
     """The values corpus statistics are computed from, in corpus order: each
     mode's pooled reading speeds (cps), each segment's AL and per-mode
-    delays, the block counts and the segment ids.
+    delays, the block counts, and the segment ids with the corpus line each
+    was read from (None when not read from a file).
 
     Tallies of consecutive runs of a corpus merge into the tally of the
     whole: the same float sequences, so the same report.
@@ -224,9 +225,10 @@ class CorpusTally:
         self.n_blocks = 0
         self.n_conforming_blocks = 0
         self.ids: list[str] = []
+        self.lines: list[int | None] = []
 
-    def add(self, metrics: SegmentMetrics) -> None:
-        """Append one segment."""
+    def add(self, metrics: SegmentMetrics, line: int | None = None) -> None:
+        """Append one segment, read from corpus line line."""
         self.al.append(metrics.average_lagging)
         for mode in MODE_ORDER:
             self.cps[mode].extend([s.cps for s in metrics.rs_samples[mode]])
@@ -234,6 +236,7 @@ class CorpusTally:
         self.n_blocks += metrics.n_blocks
         self.n_conforming_blocks += metrics.n_conforming_blocks
         self.ids.append(metrics.segment_id)
+        self.lines.append(line)
 
     def merge(self, other: CorpusTally) -> None:
         """Append the segments of other, which follow these in the corpus."""
@@ -244,6 +247,7 @@ class CorpusTally:
         self.n_blocks += other.n_blocks
         self.n_conforming_blocks += other.n_conforming_blocks
         self.ids.extend(other.ids)
+        self.lines.extend(other.lines)
 
     def report(
         self,

@@ -3,10 +3,17 @@
 Naive, literal implementations of the metric definitions and of the rules on
 an emission log's columns, kept deliberately separate from the package:
 recursive elapsed-time evaluation, per-word screen accounting, a plain SRT
-reader and a per-event rule walk. Tests compare the package against these.
+reader, a per-event rule walk, and corpus statistics pooled in exact
+fractions. Tests compare the package against these.
 """
 
 from __future__ import annotations
+
+import math
+
+# fractions is imported where it is used: perfbench loads this module for
+# naive_al_ms, and what it imports adds to the resident set that the commands
+# it starts report.
 
 BREAKS = {"<eol>", "<eob>", "<eos>"}
 
@@ -144,6 +151,116 @@ def naive_blocks(tokens: list[tuple[str, float]]) -> list:
     if lines:
         blocks.append((lines, lines[-1][1], "implicit"))
     return blocks
+
+
+def naive_rows(words: list[tuple[str, float]], max_chars: int) -> list:
+    """Word-for-word rows over [(surface, time)] words: each word joins the
+    row before it when the row's text, words joined by single spaces, still
+    has at most max_chars characters, and starts a new row otherwise (a word
+    longer than max_chars fills a row alone)."""
+    rows: list = []
+    for word in words:
+        if rows and len(" ".join(w for w, _ in rows[-1] + [word])) <= max_chars:
+            rows[-1].append(word)
+        else:
+            rows.append([word])
+    return rows
+
+
+def naive_segment_figures(
+    tokens: list[tuple[str, float]], duration: float, delay_k: float,
+    max_row_chars: int = 84, min_cpl: int = 6, max_cpl: int = 42,
+) -> dict:
+    """Every number evaluate_log gives for one segment of raw (surface,
+    time) tokens with no recorded consumed source, from the oracles above:
+    each mode's speeds (cps, keyed "word", "block", "line"), the block count,
+    the count of blocks whose lines all hold min_cpl..max_cpl characters,
+    AL and each mode's delay (ms)."""
+    blocks = naive_blocks(tokens)
+    lines = [line for block_lines, _, _ in blocks for line in block_lines]
+    words = [(s, t) for s, t in tokens if s not in BREAKS]
+    rows = naive_rows(words, max_row_chars)
+    cps = {
+        "word": [
+            naive_rs_word(row, rows[i + 1][0][1] if i + 1 < len(rows) else None, delay_k)
+            for i, row in enumerate(rows)
+        ],
+        "block": naive_rs_blocks(
+            [([w for line in block_lines for w, _ in line[0]], t) for block_lines, t, _ in blocks],
+            delay_k,
+        ),
+        "line": naive_rs_lines(
+            [([w for w, _ in line_words], t) for line_words, t, _ in lines], delay_k
+        ),
+    }
+    conforming = sum(
+        1 for block_lines, _, _ in blocks
+        if all(min_cpl <= len(" ".join(w for w, _ in line[0])) <= max_cpl for line in block_lines)
+    )
+    al = naive_al_ms([min(t, duration) for _, t in words], duration)
+    emitted = [t for _, t in words]
+    delays = {
+        mode: naive_delay_ms(emitted, naive_display_times(tokens, mode), al)
+        for mode in ("word", "block", "line")
+    }
+    return {
+        "cps": cps, "n_blocks": len(blocks), "n_conforming": conforming,
+        "al_ms": al, "delay_ms": delays,
+    }
+
+
+def _rounded_sqrt(q) -> float:
+    """The square root of q >= 0, rounded once to the nearest float: the
+    integer root of q scaled to 70 bits or more, with a sticky half bit when
+    it is not exact, so that no rounding boundary falls in between."""
+    from fractions import Fraction
+
+    n, d = q.numerator, q.denominator
+    e = max(0, 70 - (n.bit_length() - d.bit_length()) // 2)
+    scaled = n << 2 * e
+    r = math.isqrt(scaled // d)
+    if scaled % d == 0 and r * r == scaled // d:
+        return float(Fraction(r, 1 << e))
+    return float(Fraction(2 * r + 1, 1 << e + 1))
+
+
+def naive_corpus_report(segments: list[dict], threshold: float) -> dict:
+    """The pooled figures of a corpus of naive_segment_figures results:
+    each mode's speeds pooled over segments (mean and population std of the
+    finite ones, % at most threshold of all, counts; None when none is
+    finite), the means over segments of AL and of each mode's delay, and
+    the % of blocks that conform. Sums are exact fractions, rounded once."""
+    from fractions import Fraction
+
+    modes = {}
+    for mode in ("word", "block", "line"):
+        values = [v for seg in segments for v in seg["cps"][mode]]
+        finite = [Fraction(v) for v in values if v != float("inf")]
+        if not finite:
+            modes[mode] = None
+            continue
+        mean = sum(finite) / len(finite)
+        conforming = sum(1 for v in values if v <= threshold)
+        modes[mode] = {
+            "mean": float(mean),
+            "std": _rounded_sqrt(sum((v - mean) ** 2 for v in finite) / len(finite)),
+            "pct_conforming": float(Fraction(100 * conforming, len(values))),
+            "n_samples": len(values),
+            "n_finite": len(finite),
+        }
+    n_blocks = sum(seg["n_blocks"] for seg in segments)
+    n_conforming = sum(seg["n_conforming"] for seg in segments)
+    length_pct = float(Fraction(100 * n_conforming, n_blocks)) if n_blocks else None
+    return {
+        "n_segments": len(segments),
+        "al_ms": float(sum(Fraction(seg["al_ms"]) for seg in segments) / len(segments)),
+        "delay_ms": {
+            mode: float(sum(Fraction(seg["delay_ms"][mode]) for seg in segments) / len(segments))
+            for mode in ("word", "block", "line")
+        },
+        "modes": modes,
+        "length_conformity_pct": length_pct,
+    }
 
 
 def naive_al_ms(g: list[float], duration: float) -> float:

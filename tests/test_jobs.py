@@ -248,6 +248,34 @@ def test_empty_segment_warnings_in_file_order(corpus, tmp_path, capsys):
     ]
 
 
+def test_evaluate_rejects_an_id_repeated_in_a_later_run(corpus, tmp_path, capsys, monkeypatch):
+    # 16-line runs: line 600, a copy of line 1, is in the 38th run
+    monkeypatch.setattr(cli, "CHUNK_LINES", 16)
+    first = corpus.read_text(encoding="utf-8").splitlines()[0]
+    repeated = _edited(corpus, tmp_path, {600: lambda r: first})
+    expected = "error: line 600, field 'id': duplicate segment id 'seg00000' (first on line 1)\n"
+    for run in (_evaluate, _export):
+        out = tmp_path / run.__name__
+        results = {cpus: run(repeated, out.with_suffix(f".{cpus}"), cpus, capsys) for cpus in (1, 2)}
+        assert results[1] == results[2] == (3, "", expected)
+    assert not list(tmp_path.glob("_evaluate.*"))
+
+
+@pytest.mark.parametrize(
+    "events, step",
+    [([], 1e306), ([{"t": 0.5, "w": "<eos>"}], 1e306), ([{"t": 400000.0, "w": "<eos>"}], 0.28)],
+    ids=["no-events-huge-step", "eos-only-huge-step", "eos-past-100-hours"],
+)
+def test_record_without_cues_exports_an_empty_file(corpus, tmp_path, capsys, events, step):
+    # No cue ends past the largest SRT time, whatever k * step or the <eos> time.
+    bad = _edited(corpus, tmp_path, {600: _record(events=events, step=step)})
+    results = {cpus: _export(bad, tmp_path / f"srt{cpus}", cpus, capsys) for cpus in (1, 2)}
+    assert results[1] == results[2] == (
+        0, f"wrote {N_SEGMENTS} SRT files to OUT\n", "warning: segment seg00599 is empty\n"
+    )
+    assert (tmp_path / "srt1" / "seg00599.srt").read_bytes() == b""
+
+
 def test_help_does_not_import_multiprocessing():
     src = Path(livesubs.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
