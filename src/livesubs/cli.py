@@ -28,7 +28,8 @@ export-srt renders the SRT text straight from them, and replay builds the
 log of the one segment it shows.
 
 Input files must be UTF-8 text: an undecodable byte, or a lone surrogate
-escaped in a record's id or words, is a data error that names its line.
+escaped in a record's id or words, is a data error that names its line. A
+leading UTF-8 signature (byte-order mark) is skipped.
 
 A command imports what it runs. At module level this file imports only what
 the argument parser needs, so --help loads none of the measuring modules;
@@ -60,9 +61,15 @@ CHUNK_LINES = 256
 
 
 def _open_text(path: str):
-    """A UTF-8 input file. An undecodable byte is read as a lone surrogate
+    """A UTF-8 input file, without the signature (byte-order mark) it may
+    start with. An undecodable byte is read as a lone surrogate
     (surrogateescape), which the record checks reject with its line."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
+
+
+def _names_dir(out: str) -> bool:
+    """Whether an --out path ends in a path separator, so names a directory."""
+    return out.endswith(("/", os.sep))
 
 
 def _out_dir(args):
@@ -235,7 +242,8 @@ def cmd_simulate(args) -> int:
             _first_use(first_line, seg_id, lineno)
             lines.append(line)
     out = _out_dir(args)
-    out_path = out if args.out and not out.is_dir() else out / "emissions.jsonl"
+    names_file = args.out and not _names_dir(args.out) and not out.is_dir()
+    out_path = out if names_file else out / "emissions.jsonl"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as f:
         f.writelines(lines)
@@ -272,6 +280,12 @@ def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk):
 
 
 def cmd_evaluate(args) -> int:
+    if args.out is not None and _names_dir(args.out):
+        print(
+            f"error: --out {args.out} names a directory; evaluate writes one report file",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     from pathlib import Path
 
     from .formats import read_log_corpus  # noqa: F401  (loaded for _evaluate_chunk's workers)
@@ -407,7 +421,7 @@ def cmd_export_srt(args) -> int:
     try:
         for chunk in _map_chunks(_render_srt_chunk, args.logs):
             for lineno, (seg_id, data, empty) in chunk:
-                if _UNSAFE_ID_CHARS.intersection(seg_id):
+                if not seg_id or _UNSAFE_ID_CHARS.intersection(seg_id):
                     raise unnamable(seg_id, lineno)
                 _first_use(first_line, seg_id, lineno)
                 if empty:

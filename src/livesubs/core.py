@@ -459,3 +459,22 @@ def _block_rows(surfaces: Sequence[str], times: Sequence[float]) -> list[tuple[f
         blocks.append((times[cuts[stop - 1][2]], rows[start:stop]))
         start = stop
     return blocks
+
+
+def _tiled(onsets: Sequence[float]) -> list[tuple[int, float, float | None]]:
+    """(unit, onset, offset) of the screen states of units shown from their
+    onsets: each until the next unit's onset, the last open-ended (offset
+    None). Burst emissions produce zero-length states; they are dropped so
+    states tile time without overlap."""
+    offsets = [*onsets[1:], None]
+    return [
+        (i, onset, offset)
+        for i, (onset, offset) in enumerate(zip(onsets, offsets))
+        if offset is None or onset < offset
+    ]
+
+
+def _closed_offset(onset: float, end_time: float) -> float:
+    """When an open-ended state shown from onset ends, closed at end_time:
+    never before it is shown."""
+    return max(end_time, onset)

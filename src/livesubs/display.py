@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import SubtitleBlock, SubtitleLine, TokenEvent
+from .core import SubtitleBlock, SubtitleLine, TokenEvent, _closed_offset, _tiled
 from .defaults import MAX_ROW_CHARS, DisplayMode
 
 __all__ = [
@@ -110,19 +110,6 @@ def _schedule(
     return DisplaySchedule(mode, states, dict(enumerate(shown)))
 
 
-def _tiled(onsets: Sequence[float]) -> list[tuple[int, float, float | None]]:
-    """(unit, onset, offset) of the screen states of units shown from their
-    onsets: each until the next unit's onset, the last open-ended (offset
-    None). Burst emissions produce zero-length states; they are dropped so
-    states tile time without overlap."""
-    offsets = [*onsets[1:], None]
-    return [
-        (i, onset, offset)
-        for i, (onset, offset) in enumerate(zip(onsets, offsets))
-        if offset is None or onset < offset
-    ]
-
-
 def schedule_word_mode(blocks: Sequence[WordBlock]) -> DisplaySchedule:
     """Word-for-word display: each word appears when emitted; the row is
     cleared when the next block's first word is emitted. The last state is
@@ -166,9 +153,3 @@ def close_schedule(schedule: DisplaySchedule, end_time: float) -> DisplaySchedul
     return DisplaySchedule(
         schedule.mode, schedule.states[:-1] + (closed,), schedule.word_display_times
     )
-
-
-def _closed_offset(onset: float, end_time: float) -> float:
-    """When an open-ended state shown from onset ends, closed at end_time:
-    never before it is shown."""
-    return max(end_time, onset)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -25,11 +26,12 @@ from .core import (
     _block_rows,
     _built_log,
     _check_columns,
+    _closed_offset,
+    _tiled,
     classify_surface,
     finite_delay_k,
 )
-from .display import DisplayMode, DisplaySchedule, _closed_offset, _tiled
-from .waitk import AnnotatedReference
+from .defaults import DisplayMode
 
 __all__ = [
     "SchemaError",
@@ -309,6 +311,7 @@ def read_annotated_refs(source: Iterable[str], start: int = 1):
     """Parse references: one segment per line, tab-separated id, duration,
     space-separated tokens with inline break symbols. start is the file line
     number of the first line of source."""
+    reference = _annotated_reference()
     for lineno, line in enumerate(source, start=start):
         line = line.rstrip("\n")
         if not line.strip():
@@ -318,7 +321,16 @@ def read_annotated_refs(source: Iterable[str], start: int = 1):
             raise SchemaError(
                 f"expected 3 tab-separated fields, got {len(parts)}", lineno, None
             )
-        yield AnnotatedReference(*_ref_fields(*parts, lineno))
+        yield reference(*_ref_fields(*parts, lineno))
+
+
+@cache
+def _annotated_reference() -> type:
+    """waitk.AnnotatedReference, imported on first use: formats loads no
+    wait-k code, and a reader made per line pays no import per line."""
+    from .waitk import AnnotatedReference
+
+    return AnnotatedReference
 
 
 def _ref_fields(

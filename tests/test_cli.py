@@ -570,3 +570,32 @@ def test_simulate_rejection_leaves_the_output_file_as_it_was(tmp_path, capsys, s
     assert main(["simulate", str(refs), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: line 2, field ")
     assert out.read_bytes() == b'{"earlier": "corpus"}\n'
+
+
+def test_simulate_and_replay_skip_a_leading_signature(tmp_path, refs_file, capsys):
+    signed = tmp_path / "signed.tsv"
+    signed.write_bytes(b"\xef\xbb\xbf" + refs_file.read_bytes())
+    for name, refs in (("signed", signed), ("plain", refs_file)):
+        assert main(["simulate", str(refs), "--out", str(tmp_path / f"{name}.jsonl")]) == 0
+    assert (tmp_path / "signed.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+    corpus = tmp_path / "signed-corpus.jsonl"
+    corpus.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.jsonl").read_bytes())
+    capsys.readouterr()
+    assert main(["replay", str(corpus), "--segment", "seg00000", "--speed", "0"]) == 0
+    assert "segment seg00000 (line mode)" in capsys.readouterr().out
+
+
+def test_simulate_out_ending_in_a_separator_is_a_directory(tmp_path, refs_file):
+    out = tmp_path / "new"
+    assert main(["simulate", str(refs_file), "--out", f"{out}{os.sep}"]) == 0
+    assert [p.name for p in out.iterdir()] == ["emissions.jsonl"]
+
+
+def test_evaluate_refuses_an_out_ending_in_a_separator(tmp_path, capsys):
+    out = f"{tmp_path / 'new'}{os.sep}"
+    # The corpus does not exist: the --out check comes before any reading.
+    assert main(["evaluate", str(tmp_path / "missing.jsonl"), "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out} names a directory; evaluate writes one report file\n"
+    assert list(tmp_path.iterdir()) == []

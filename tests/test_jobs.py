@@ -359,3 +359,61 @@ def test_workers_import_no_module(tmp_path, command):
     ours = [m for m in imported if m.startswith("livesubs.")]
     assert "livesubs.formats" in ours
     assert len(ours) == len(set(ours)), sorted(ours)
+
+
+_LAYERS = {"livesubs", "livesubs.cli", "livesubs.core", "livesubs.defaults", "livesubs.formats"}
+_MEASURING = {"livesubs.display", "livesubs.latency", "livesubs.reading_speed", "livesubs.report"}
+
+
+@pytest.mark.parametrize(
+    "command, ours",
+    [
+        ("simulate", _LAYERS | {"livesubs.waitk"}),
+        ("export-srt", _LAYERS),
+        ("evaluate", _LAYERS | _MEASURING),
+        ("replay", _LAYERS | _MEASURING),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(tmp_path, command, ours):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text(
+        "s0\t2.5\twe meet <eol> at noon <eob> <eos>\n"
+        "s1\t1.2\tthe talk starts <eob> then <eos>\n",
+        encoding="utf-8",
+    )
+    logs = tmp_path / "e.jsonl"
+    assert main(["simulate", str(refs), "--out", str(logs)]) == 0
+    argv = {
+        "simulate": ["simulate", str(refs), "--out", str(tmp_path / "again.jsonl")],
+        "export-srt": ["export-srt", str(logs), "--out", str(tmp_path / "srt")],
+        "evaluate": ["evaluate", str(logs), "--out", str(tmp_path / "report.json")],
+        "replay": ["replay", str(logs), "--segment", "s1", "--speed", "0"],
+    }[command]
+    loaded = _modules_after(f"from livesubs.cli import main; assert main({argv!r}) == 0")
+    assert {m for m in loaded if m.startswith("livesubs")} == ours
+    assert ("statistics" in loaded) == ("livesubs.report" in ours)
+
+
+def test_a_leading_signature_is_skipped(corpus, tmp_path, capsys):
+    signed = tmp_path / "signed.jsonl"
+    signed.write_bytes(b"\xef\xbb\xbf" + corpus.read_bytes())
+    assert _export(corpus, tmp_path / "plain", 1, capsys)[0] == 0
+    for cpus in (1, 2):
+        assert _evaluate(signed, tmp_path / "signed.json", cpus, capsys) == _evaluate(
+            corpus, tmp_path / "plain.json", cpus, capsys
+        )
+        assert (tmp_path / "signed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert _export(signed, tmp_path / f"signed{cpus}", cpus, capsys) == (
+            0, f"wrote {N_SEGMENTS} SRT files to OUT\n", ""
+        )
+        assert _srt_files(tmp_path / f"signed{cpus}") == _srt_files(tmp_path / "plain")
+
+
+def test_export_rejects_an_empty_id(corpus, tmp_path, capsys):
+    unnamed = _edited(corpus, tmp_path, {600: lambda r: json.dumps({**r, "id": ""})})
+    for cpus in (1, 2):
+        out = tmp_path / f"srt{cpus}"
+        assert _export(unnamed, out, cpus, capsys) == (
+            3, "", f"error: line 600, field 'id': segment id '' cannot name a file in {out}\n"
+        )
+        assert not (out / ".srt").exists()
