@@ -217,7 +217,7 @@ def _first_use(first_line: dict[str, int], seg_id: str, lineno: int) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from .formats import _record_line, read_annotated_refs
+    from .formats import _read_ref_fields, _record_line
     from .waitk import WaitKConfig, _emission_columns
 
     cfg = WaitKConfig(
@@ -227,17 +227,17 @@ def cmd_simulate(args) -> int:
         flush_at_end=not args.no_flush,
     )
 
-    def simulate_line(ref) -> tuple[str, str]:
-        """(segment id, corpus line) of ref: the line write_log_corpus writes
-        for simulate_waitk(ref, cfg), made from the columns once they are
-        checked; a reference they fail raises the constructors' error."""
-        return ref.segment_id, _record_line(*_emission_columns(ref, cfg))
+    def simulate_line(fields) -> tuple[str, str]:
+        """(segment id, corpus line) of a reference's checked fields: the line
+        write_log_corpus writes for simulate_waitk(ref, cfg), made from the
+        columns once they are checked, or the constructors' error."""
+        return fields[0], _record_line(*_emission_columns(*fields, cfg))
 
     first_line: dict[str, int] = {}
     lines: list[str] = []
     # Nothing is written until every reference has passed.
     with _open_text(args.refs) as f:
-        simulated = _each_record(read_annotated_refs, 1, f, simulate_line, "tokens")
+        simulated = _each_record(_read_ref_fields, 1, f, simulate_line, "tokens")
         for lineno, (seg_id, line) in simulated:
             _first_use(first_line, seg_id, lineno)
             lines.append(line)
@@ -252,10 +252,10 @@ def cmd_simulate(args) -> int:
 
 
 def _each_record(read, start: int, lines, work, field: str | None = None):
-    """(line number, work(record)) for each record that read (read_log_corpus
-    or read_annotated_refs) finds in lines, the first of which is line start
-    of its file. A StreamError from work is raised naming the line, and field
-    when it names none."""
+    """(line number, work(record)) for each record that read (a reader of
+    formats) finds in lines, the first of which is line start of its file.
+    A StreamError from work is raised naming the line, and field when it
+    names none."""
     from .core import StreamError
 
     for lineno, line in enumerate(lines, start):
@@ -280,7 +280,7 @@ def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk):
 
 
 def cmd_evaluate(args) -> int:
-    if args.out is not None and _names_dir(args.out):
+    if args.out is not None and (_names_dir(args.out) or os.path.isdir(args.out)):
         print(
             f"error: --out {args.out} names a directory; evaluate writes one report file",
             file=sys.stderr,

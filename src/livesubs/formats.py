@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cache
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -311,7 +310,14 @@ def read_annotated_refs(source: Iterable[str], start: int = 1):
     """Parse references: one segment per line, tab-separated id, duration,
     space-separated tokens with inline break symbols. start is the file line
     number of the first line of source."""
-    reference = _annotated_reference()
+    from .waitk import AnnotatedReference
+
+    for fields in _read_ref_fields(source, start):
+        yield AnnotatedReference(*fields)
+
+
+def _read_ref_fields(source: Iterable[str], start: int) -> Iterator[tuple]:
+    """read_annotated_refs's checked (id, tokens, duration), no reference built."""
     for lineno, line in enumerate(source, start=start):
         line = line.rstrip("\n")
         if not line.strip():
@@ -321,16 +327,7 @@ def read_annotated_refs(source: Iterable[str], start: int = 1):
             raise SchemaError(
                 f"expected 3 tab-separated fields, got {len(parts)}", lineno, None
             )
-        yield reference(*_ref_fields(*parts, lineno))
-
-
-@cache
-def _annotated_reference() -> type:
-    """waitk.AnnotatedReference, imported on first use: formats loads no
-    wait-k code, and a reader made per line pays no import per line."""
-    from .waitk import AnnotatedReference
-
-    return AnnotatedReference
+        yield _ref_fields(*parts, lineno)
 
 
 def _ref_fields(

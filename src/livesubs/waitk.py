@@ -70,22 +70,22 @@ def simulate_waitk(ref: AnnotatedReference, cfg: WaitKConfig) -> EmissionLog:
     (the greedy flush). Break tokens consume a policy step like words: the
     decoder generates them as ordinary vocabulary items.
     """
-    *columns, consumed = _emission_columns(ref, cfg)
+    *columns, consumed = _emission_columns(ref.segment_id, ref.tokens, ref.duration, cfg)
     return _built_log(*columns, tuple(consumed))
 
 
-def _emission_columns(ref: AnnotatedReference, cfg: WaitKConfig) -> tuple:
+def _emission_columns(segment_id: str, tokens: tuple, d: float, cfg: WaitKConfig) -> tuple:
     """(id, duration, k, step, tokens, emission times, consumed source) of
-    simulate_waitk's log, the columns it is built from, once _check_columns
-    has passed them: what the constructors would raise is raised. With no
-    compute latency t + i * 0.0 is t, so the times are the paces, or with
-    the flush the consumed-source list itself."""
-    d, k, step, latency = ref.duration, cfg.k, cfg.step_size, cfg.compute_latency
-    paces = [(k + i - 1) * step for i in range(1, len(ref.tokens) + 1)]
+    simulate_waitk's log of the reference (segment_id, tokens, d), once
+    _check_columns has passed them: what the constructors would raise is
+    raised. With no compute latency t + i * 0.0 is t, so the times are the
+    paces, or with the flush the consumed-source list itself."""
+    k, step, latency = cfg.k, cfg.step_size, cfg.compute_latency
+    paces = [(k + i - 1) * step for i in range(1, len(tokens) + 1)]
     consumed = [pace if pace < d else d for pace in paces]  # min(d, pace)
     times = consumed if cfg.flush_at_end else paces
     if latency:
         times = [t + i * latency for i, t in enumerate(times, start=1)]
-    columns = (ref.segment_id, d, k, step, ref.tokens, times, consumed)
+    columns = (segment_id, d, k, step, tokens, times, consumed)
     _check_columns(*columns)
     return columns

@@ -1,16 +1,18 @@
-"""Shared fixtures: deterministic synthetic reference corpora."""
+"""Shared fixtures: deterministic synthetic reference corpora (see corpora.py)."""
 
 from __future__ import annotations
 
-import random
-import string
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from livesubs import AnnotatedReference, WaitKConfig, simulate_waitk
+_TESTS = str(Path(__file__).resolve().parent)
+if _TESTS not in sys.path:  # loaded by file path, as perfbench loads it
+    sys.path.insert(0, _TESTS)
 
-STEP = 0.280
+from corpora import STEP, make_refs, simulate_corpus  # noqa: E402,F401  (re-exported)
 
 
 def pytest_configure(config):
@@ -40,41 +42,6 @@ def pytest_terminal_summary(terminalreporter):
                 terminalreporter.write_line(
                     f"acceptance {outcome.upper():<6} {name}"
                 )
-
-
-def make_refs(n: int, seed: int = 0, flush_fraction: float = 0.2):
-    """Random break-annotated references with plausible subtitle shape.
-
-    Most segments are long enough that a wait-5 decoder never exhausts the
-    source; flush_fraction of them are short, forcing the end-of-source burst.
-    """
-    rng = random.Random(seed)
-    refs = []
-    for i in range(n):
-        tokens: list[str] = []
-        for _ in range(rng.randint(2, 6)):
-            n_lines = rng.randint(1, 2)
-            for line in range(n_lines):
-                for _ in range(rng.randint(2, 6)):
-                    length = rng.randint(2, 9)
-                    tokens.append(
-                        "".join(rng.choice(string.ascii_lowercase) for _ in range(length))
-                    )
-                if line < n_lines - 1:
-                    tokens.append("<eol>")
-            tokens.append("<eob>")
-        tokens.append("<eos>")
-        if rng.random() < flush_fraction:
-            duration = max(1.0, STEP * len(tokens) * rng.uniform(0.3, 0.8))
-        else:
-            duration = STEP * (len(tokens) + 8) * rng.uniform(1.0, 1.3)
-        refs.append(AnnotatedReference(f"seg{i:05d}", tuple(tokens), round(duration, 3)))
-    return refs
-
-
-def simulate_corpus(refs, k: int, **cfg_kwargs):
-    cfg = WaitKConfig(k=k, step_size=STEP, **cfg_kwargs)
-    return [simulate_waitk(ref, cfg) for ref in refs]
 
 
 @pytest.fixture(scope="session")

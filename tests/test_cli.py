@@ -12,6 +12,7 @@ from livesubs import (
     EmissionLog,
     TokenEvent,
     WaitKConfig,
+    read_annotated_refs,
     read_log_corpus,
     simulate_waitk,
     write_annotated_refs,
@@ -114,6 +115,21 @@ def test_simulate_builds_no_token_objects(tmp_path, monkeypatch, policy):
     monkeypatch.setattr(TokenEvent, "__post_init__", built)
     monkeypatch.setattr(EmissionLog, "__post_init__", built)
     assert _simulated(tmp_path, argv) == expected
+
+
+def test_simulate_builds_no_reference_objects(tmp_path, monkeypatch):
+    expected = _simulated(tmp_path, [])
+
+    def built(*args, **kwargs):
+        raise AssertionError("built a reference object")
+
+    monkeypatch.setattr(AnnotatedReference, "__post_init__", built)
+    assert _simulated(tmp_path, []) == expected
+    # The library reader still builds one per line.
+    with open(tmp_path / "refs.tsv", encoding="utf-8") as f:
+        with pytest.raises(AssertionError, match="built a reference object"):
+            next(read_annotated_refs(f))
+
 
 def test_evaluate_table_and_report(tmp_path, logs_file, capsys):
     report_path = tmp_path / "report.json"
@@ -599,3 +615,15 @@ def test_evaluate_refuses_an_out_ending_in_a_separator(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"error: --out {out} names a directory; evaluate writes one report file\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_evaluate_refuses_an_out_naming_an_existing_directory(tmp_path, capsys):
+    out = tmp_path / "adir"
+    out.mkdir()
+    # The corpus does not exist: the --out check comes before any reading.
+    assert main(["evaluate", str(tmp_path / "missing.jsonl"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out} names a directory; evaluate writes one report file\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []

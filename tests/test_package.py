@@ -119,3 +119,19 @@ def test_submodules_load_on_first_use():
     assert found == "True"
     assert "'livesubs.report'" in after
     assert "'livesubs.cli'" not in after
+
+
+def test_the_corpus_generator_runs_without_pytest():
+    """tests/corpora.py imports only the standard library and livesubs, so
+    a Python without the test tools can build the benchmark's corpora."""
+    src = os.path.dirname(os.path.dirname(livesubs.__file__))
+    path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
+    code = (
+        "import sys; from corpora import make_refs; refs = make_refs(50, seed=11); "
+        "print(len(refs), 'pytest' in sys.modules, 'hypothesis' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split() == ["50", "False", "False"]
