@@ -14,12 +14,13 @@ Exit codes: 0 success, 2 argument errors, 3 schema/data errors, 4 I/O errors.
 
 evaluate and export-srt read the corpus in fixed runs of lines. Worker
 processes, one per CPU this process may run on but no more than there are
-runs, parse each run and do the work (a single worker is this process).
-Results come back, and are merged or written, in file order, so the output
-does not depend on the worker count. An evaluate worker sends back one
-CorpusTally per run (floats, counts, and ids with their line numbers), an
-export-srt worker the rendered SRT files. As the results come back, this
-process rejects a segment id already used on an earlier line.
+runs, each run a function of the layer that does the work (a single worker
+is this process): report._tally_run folds a run into one CorpusTally
+(floats, counts, and ids with their line numbers), formats._srt_run renders
+its SRT files. Results come back, and are merged or written, in file order,
+so the output does not depend on the worker count. This process keeps the
+arguments, the processes, the ids and the files: it rejects a segment id
+already used on an earlier line, and alone creates the files.
 
 The three corpus commands check each record they read by the same rules.
 evaluate reads each record as an EmissionLog (read_log_corpus). export-srt
@@ -33,8 +34,8 @@ leading UTF-8 signature (byte-order mark) is skipped.
 
 A command imports what it runs. At module level this file imports only what
 the argument parser needs, so --help loads none of the measuring modules;
-each cmd_* imports its modules at its entry, before any worker is forked, so
-the workers inherit them and import none.
+each cmd_* imports at its entry the function its workers run, which loads
+their modules before any worker is forked, so the workers import none.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def _first_use(first_line: dict[str, int], seg_id: str, lineno: int) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from .formats import _read_ref_fields, _record_line
+    from .formats import _each_record, _read_ref_fields, _record_line
     from .waitk import WaitKConfig, _emission_columns
 
     cfg = WaitKConfig(
@@ -237,7 +238,7 @@ def cmd_simulate(args) -> int:
     lines: list[str] = []
     # Nothing is written until every reference has passed.
     with _open_text(args.refs) as f:
-        simulated = _each_record(_read_ref_fields, 1, f, simulate_line, "tokens")
+        simulated = _each_record(1, f, simulate_line, _read_ref_fields, "tokens")
         for lineno, (seg_id, line) in simulated:
             _first_use(first_line, seg_id, lineno)
             lines.append(line)
@@ -251,34 +252,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _each_record(read, start: int, lines, work, field: str | None = None):
-    """(line number, work(record)) for each record that read (a reader of
-    formats) finds in lines, the first of which is line start of its file.
-    A StreamError from work is raised naming the line, and field when it
-    names none."""
-    from .core import StreamError
-
-    for lineno, line in enumerate(lines, start):
-        for record in read((line,), start=lineno):
-            try:
-                result = work(record)
-            except StreamError as exc:
-                raise type(exc)(exc.message, lineno, exc.field or field) from None
-            yield lineno, result
-
-
-def _evaluate_chunk(min_cpl: int, max_cpl: int, max_row_chars: int, chunk):
-    """One run of corpus lines folded into a CorpusTally."""
-    from .formats import read_log_corpus
-    from .report import CorpusTally, evaluate_log
-
-    measure = partial(evaluate_log, min_cpl=min_cpl, max_cpl=max_cpl, max_row_chars=max_row_chars)
-    tally = CorpusTally()
-    for lineno, metrics in _each_record(read_log_corpus, *chunk, measure):
-        tally.add(metrics, lineno)
-    return tally
-
-
 def cmd_evaluate(args) -> int:
     if args.out is not None and (_names_dir(args.out) or os.path.isdir(args.out)):
         print(
@@ -288,10 +261,9 @@ def cmd_evaluate(args) -> int:
         return EXIT_USAGE
     from pathlib import Path
 
-    from .formats import read_log_corpus  # noqa: F401  (loaded for _evaluate_chunk's workers)
-    from .report import MODE_ORDER, CorpusTally, render_table, write_report
+    from .report import MODE_ORDER, CorpusTally, _tally_run, render_table, write_report
 
-    work = partial(_evaluate_chunk, args.cpl_min, args.cpl_max, args.max_row_chars)
+    work = partial(_tally_run, args.cpl_min, args.cpl_max, args.max_row_chars)
     tally = CorpusTally()
     first_line: dict[str, int] = {}
     for run in _map_chunks(work, args.logs):
@@ -302,12 +274,13 @@ def cmd_evaluate(args) -> int:
     if report.n_segments == 0:
         print("error: empty corpus", file=sys.stderr)
         return EXIT_SCHEMA
-    modes = MODE_ORDER if args.mode == "all" else (DisplayMode(args.mode),)
-    sys.stdout.write(render_table(report, modes))
-    if args.out is not None:
+    if args.out is not None:  # written first: a report that cannot be written prints nothing
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(write_report(report, args.per_segment), encoding="utf-8")
+    modes = MODE_ORDER if args.mode == "all" else (DisplayMode(args.mode),)
+    sys.stdout.write(render_table(report, modes))
+    if args.out is not None:
         print(f"wrote report to {out_path}")
     return EXIT_OK
 
@@ -316,7 +289,7 @@ def cmd_replay(args) -> int:
     from threading import TIMEOUT_MAX
 
     from .core import _built_log
-    from .formats import _read_columns
+    from .formats import _each_record
     from .reading_speed import rs_stats
     from .report import evaluate_log, screen_schedule
 
@@ -330,7 +303,7 @@ def cmd_replay(args) -> int:
     # Check the records up to the first match, build its log alone, and stop:
     # later records are not read.
     with _open_text(args.logs) as f:
-        measured = (x for _, x in _each_record(_read_columns, 1, f, measure))
+        measured = (x for _, x in _each_record(1, f, measure))
         found = next((x for x in measured if x is not None), None)
     if found is None:
         print(f"error: unknown segment id {args.segment!r}", file=sys.stderr)
@@ -370,26 +343,6 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _render_srt_chunk(chunk) -> list[tuple[int, tuple[str, bytes, bool]]]:
-    """(line number, (segment id, SRT file contents, no cues)) per record."""
-    from .core import delay_k_seconds
-    from .formats import SRT_END_MS, SchemaError, _read_columns, _srt_of_columns
-
-    def render(columns) -> tuple[str, bytes, bool]:
-        seg_id, _, k, step, surfaces, times, _ = columns
-        end_time = times[-1] if times else 0.0
-        try:
-            text = _srt_of_columns(surfaces, times, end_time + delay_k_seconds(k, step))
-        except ValueError:  # a column cue fails only by ending at 100 h or later
-            field = "k" if 1000.0 * end_time < SRT_END_MS else "events"
-            raise SchemaError(
-                f"segment {seg_id}: the last cue ends past the largest SRT time", None, field
-            ) from None
-        return seg_id, text.encode("utf-8"), not text
-
-    return list(_each_record(_read_columns, *chunk, render))
-
-
 _UNSAFE_ID_CHARS = {c for c in ("/", os.sep, os.altsep, "\0") if c}
 
 
@@ -405,8 +358,7 @@ def _write_file(name: str, data: bytes, dir_fd: int) -> None:
 
 
 def cmd_export_srt(args) -> int:
-    # Also loads what _render_srt_chunk runs, before _map_chunks forks workers.
-    from .formats import SchemaError
+    from .formats import SchemaError, _srt_run
 
     def unnamable(seg_id: str, lineno: int) -> SchemaError:
         return SchemaError(f"segment id {seg_id!r} cannot name a file in {out}", lineno, "id")
@@ -419,12 +371,12 @@ def cmd_export_srt(args) -> int:
     # in the same directory doubles rather than overlaps.
     dir_fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
     try:
-        for chunk in _map_chunks(_render_srt_chunk, args.logs):
-            for lineno, (seg_id, data, empty) in chunk:
+        for chunk in _map_chunks(_srt_run, args.logs):
+            for lineno, (seg_id, data) in chunk:
                 if not seg_id or _UNSAFE_ID_CHARS.intersection(seg_id):
                     raise unnamable(seg_id, lineno)
                 _first_use(first_line, seg_id, lineno)
-                if empty:
+                if not data:
                     print(f"warning: segment {seg_id} is empty", file=sys.stderr)
                 try:
                     _write_file(f"{seg_id}.srt", data, dir_fd)

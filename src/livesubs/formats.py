@@ -18,6 +18,8 @@ import math
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Sequence
 
+import livesubs
+
 from .core import (
     EmissionLog,
     NonMonotonicTimeError,
@@ -28,6 +30,7 @@ from .core import (
     _closed_offset,
     _tiled,
     classify_surface,
+    delay_k_seconds,
     finite_delay_k,
 )
 from .defaults import DisplayMode
@@ -233,6 +236,20 @@ def _read_records(source: Iterable[str], start: int, build) -> Iterator:
         yield built
 
 
+def _each_record(start: int, lines, work, read=_read_columns, field: str | None = None):
+    """(line number, work(record)) for each record that read (a reader of
+    this module) finds in lines, the first of which is line start of its
+    file. A StreamError from work is raised naming the line, and field when
+    it names none."""
+    for lineno, line in enumerate(lines, start):
+        for record in read((line,), start=lineno):
+            try:
+                result = work(record)
+            except StreamError as exc:
+                raise type(exc)(exc.message, lineno, exc.field or field) from None
+            yield lineno, result
+
+
 def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
     """Write each log as one corpus line. A log the reader would reject
     raises the reader's SchemaError (line None); an event whose surface
@@ -386,7 +403,7 @@ def format_srt_time(seconds: float) -> str:
     return f"{h:02d}:{m:02d}:{s:02d},{ms:03d}"
 
 
-def export_srt(schedule: DisplaySchedule) -> str:
+def export_srt(schedule: livesubs.display.DisplaySchedule) -> str:
     """Render a blocks-mode schedule as SubRip text.
 
     The schedule must have closed offsets (close the final state at segment
@@ -421,14 +438,27 @@ def _srt_text(cues: Iterable[tuple[float, float | None, Sequence[str]]]) -> str:
     return "\n".join(texts)
 
 
-def _srt_of_columns(surfaces: Sequence[str], times: Sequence[float], end_time: float) -> str:
-    """export_srt(screen_schedule(log, DisplayMode.BLOCKS)) of the log of
-    these checked (surface, time) columns, with end_time = log.end_time +
-    log.delay_k, and nothing built on the way: the blocks' cues are tiled
-    as schedule_block_mode tiles its states, and the last is closed as
-    close_schedule closes it."""
+def _srt_of_columns(columns: tuple) -> bytes:
+    """export_srt(screen_schedule(log, DisplayMode.BLOCKS)) as UTF-8 for the log of
+    a record's checked columns, nothing built: cues tiled as schedule_block_mode
+    tiles states, the last closed as close_schedule closes it, at the last event
+    plus the wait-k delay. A cue ending at 100 h or later is a SchemaError naming
+    'events' if the last event alone passes that bound, else 'k'."""
+    seg_id, _, k, step, surfaces, times, _ = columns
+    end_time = times[-1] if times else 0.0
     blocks = _block_rows(surfaces, times)
     cues = [[on, off, blocks[b][1]] for b, on, off in _tiled([t for t, _ in blocks])]
     if cues:
-        cues[-1][1] = _closed_offset(cues[-1][0], end_time)
-    return _srt_text(cues)
+        cues[-1][1] = _closed_offset(cues[-1][0], end_time + delay_k_seconds(k, step))
+    try:
+        return _srt_text(cues).encode("utf-8")
+    except ValueError:  # checked columns give cues that fail only the 100 h bound
+        field = "k" if 1000.0 * end_time < SRT_END_MS else "events"
+        raise SchemaError(
+            f"segment {seg_id}: the last cue ends past the largest SRT time", None, field
+        ) from None
+
+
+def _srt_run(run: tuple[int, Sequence[str]]) -> list[tuple[int, tuple[str, bytes]]]:
+    """(line, (id, SRT file contents)) per record of (first line number, lines)."""
+    return list(_each_record(*run, lambda c: (c[0], _srt_of_columns(c))))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Sequence
 
@@ -32,6 +33,7 @@ from .display import (
     schedule_line_mode,
     schedule_word_mode,
 )
+from .formats import _each_record, read_log_corpus
 from .latency import LatencyOverflowError, _delay_ms, _lagging_ms, _word_consumed_source
 from .reading_speed import (
     MAX_CPL,
@@ -274,6 +276,16 @@ class CorpusTally:
             cpl_bounds=(min_cpl, max_cpl),
             segment_rows=tuple(zip(self.ids, self.al, *(self.delays[m] for m in MODE_ORDER))),
         )
+
+
+def _tally_run(min_cpl: int, max_cpl: int, max_row_chars: int, run) -> CorpusTally:
+    """An evaluate worker's CorpusTally of a run, (first line number, lines).
+    read_log_corpus and evaluate_log are looked up per call: a wrapper sees each record."""
+    measure = partial(evaluate_log, min_cpl=min_cpl, max_cpl=max_cpl, max_row_chars=max_row_chars)
+    tally = CorpusTally()
+    for lineno, metrics in _each_record(*run, measure, read_log_corpus):
+        tally.add(metrics, lineno)
+    return tally
 
 
 def _mode_dict(report: CorpusReport, mode: DisplayMode) -> dict:

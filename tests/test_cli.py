@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -627,3 +628,17 @@ def test_evaluate_refuses_an_out_naming_an_existing_directory(tmp_path, capsys):
     assert captured.err == f"error: --out {out} names a directory; evaluate writes one report file\n"
     assert list(tmp_path.iterdir()) == [out]
     assert list(out.iterdir()) == []
+
+
+def test_evaluate_prints_nothing_when_its_report_cannot_be_written(tmp_path, logs_file, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory", encoding="utf-8")
+    assert main(["evaluate", str(logs_file), "--out", str(afile / "report.json")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.EEXIST}] File exists: '{afile}'\n"
+    # a report that is written is printed as before: the table, then where it went
+    out = tmp_path / "report.json"
+    assert main(["evaluate", str(logs_file), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("mode") and lines[-1] == f"wrote report to {out}"

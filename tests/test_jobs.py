@@ -15,6 +15,7 @@ import pytest
 
 import livesubs
 from livesubs import cli, evaluate_corpus, read_log_corpus, write_annotated_refs, write_report
+from livesubs import formats
 from livesubs.cli import main
 
 from conftest import make_refs
@@ -213,7 +214,7 @@ def test_cli_report_equals_library_report(corpus, tmp_path, capsys, monkeypatch)
 
 def test_worker_sends_no_sample_or_segment_objects(corpus):
     lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)[:cli.CHUNK_LINES]
-    tally = cli._evaluate_chunk(6, 42, 84, (1, lines))
+    tally = livesubs.report._tally_run(6, 42, 84, (1, lines))
     assert len(tally.al) == cli.CHUNK_LINES
     data = pickle.dumps(tally)
     assert b"ReadingSpeedSample" not in data
@@ -417,3 +418,21 @@ def test_export_rejects_an_empty_id(corpus, tmp_path, capsys):
             3, "", f"error: line 600, field 'id': segment id '' cannot name a file in {out}\n"
         )
         assert not (out / ".srt").exists()
+
+
+@pytest.mark.parametrize(
+    "events, field",
+    [(_SRT_HOURS, "k"), (_SRT_ROUNDS, "k"), (_SRT_BREAK, "events")],
+    ids=["srt-100-hours", "srt-rounds-to-100-hours", "srt-break-at-100-hours"],
+)
+def test_srt_of_columns_names_the_field_of_a_cue_past_100_hours(events, field):
+    # The rule the float-limit table checks through the CLI, at its home:
+    # the error names the field; the record loop adds the line.
+    record = {"id": "seg00599", "duration": 2, "k": 3, "step": 0.28, "events": events}
+    columns = formats._record_columns(record, None)
+    with pytest.raises(formats.SchemaError) as raised:
+        formats._srt_of_columns(columns)
+    assert (raised.value.message, raised.value.line, raised.value.field) == (
+        "segment seg00599: the last cue ends past the largest SRT time", None, field,
+    )
+    assert str(raised.value) == _SRT_ERROR.format(field).replace("line 600", "record")

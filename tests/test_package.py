@@ -2,10 +2,13 @@
 attribute; the submodules load only when used."""
 
 import importlib
+import inspect
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -135,3 +138,13 @@ def test_the_corpus_generator_runs_without_pytest():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout.split() == ["50", "False", "False"]
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(livesubs.__path__)))
+def test_every_public_hint_resolves(module):
+    # the hints of each function and class a module lists in __all__
+    mod = importlib.import_module(f"livesubs.{module}")
+    for name in getattr(mod, "__all__", ()):
+        obj = getattr(mod, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            typing.get_type_hints(obj)

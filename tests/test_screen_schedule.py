@@ -158,4 +158,4 @@ def test_srt_of_columns_equals_the_block_schedule(columns):
     surfaces, times, k, step = columns
     log = EmissionLog("s", 1.0, k, step, parse_token_stream(zip(surfaces, times)))
     expected = export_srt(screen_schedule(log, DisplayMode.BLOCKS))
-    assert _srt_of_columns(surfaces, times, log.end_time + log.delay_k) == expected
+    assert _srt_of_columns(("s", 1.0, k, step, surfaces, times, None)) == expected.encode("utf-8")
