@@ -6,9 +6,13 @@ Subcommands:
   replay      render one segment's screen states in the terminal
   export-srt  emission-log corpus -> one SubRip file per segment
 
+Each subparser names its cmd_* function with set_defaults(run=...), and main
+calls args.run(args).
+
 Defaults mirror the evaluation setup: 280 ms step, 21 cps reading-speed
 threshold, 6-42 characters per line, 84-character rows. The LIVESUBS_OUT
-environment variable sets the default output directory.
+environment variable sets the default output directory of simulate and
+export-srt; evaluate writes its JSON report only to --out.
 
 Exit codes: 0 success, 2 argument errors, 3 schema/data errors, 4 I/O errors.
 
@@ -108,14 +112,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default: $LIVESUBS_OUT or cwd)")
 
 
-def _add_policy(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=_AT_LEAST_ONE, default=3, help="wait-k parameter")
-    parser.add_argument("--step-ms", type=_POSITIVE, default=280.0, help="read step size in ms")
-    parser.add_argument(
-        "--latency-ms", type=_NON_NEGATIVE, default=0.0, help="per-token compute latency in ms"
-    )
-
-
 def _add_metric_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rs-threshold", type=_POSITIVE, default=RS_THRESHOLD_CPS)
     parser.add_argument("--max-row-chars", type=_AT_LEAST_ONE, default=MAX_ROW_CHARS)
@@ -129,21 +125,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate wait-k emission logs from references")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("refs", help="annotated-reference TSV file")
-    _add_policy(p)
+    p.add_argument("--k", type=_AT_LEAST_ONE, default=3, help="wait-k parameter")
+    p.add_argument("--step-ms", type=_POSITIVE, default=280.0, help="read step size in ms")
+    p.add_argument(
+        "--latency-ms", type=_NON_NEGATIVE, default=0.0, help="per-token compute latency in ms"
+    )
     p.add_argument("--no-flush", action="store_true", help="disable the end-of-source burst")
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="compute readability and latency metrics")
+    p.set_defaults(run=cmd_evaluate)
     p.add_argument("logs", help="emission-log corpus file")
     p.add_argument("--mode", choices=[*(m.value for m in DisplayMode), "all"], default="all")
     _add_metric_flags(p)
     p.add_argument("--cpl-min", type=_AT_LEAST_ZERO, default=MIN_CPL)
     p.add_argument("--cpl-max", type=_AT_LEAST_ONE, default=MAX_CPL)
     p.add_argument("--per-segment", action="store_true", help="include per-segment breakdown")
-    _add_common(p)
+    p.add_argument("--out", help="JSON report file (default: none; only the table is printed)")
 
     p = sub.add_parser("replay", help="replay one segment's screen states")
+    p.set_defaults(run=cmd_replay)
     p.add_argument("logs", help="emission-log corpus file")
     p.add_argument("--segment", required=True, help="segment id to replay")
     p.add_argument("--mode", choices=[m.value for m in DisplayMode], default="line")
@@ -154,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metric_flags(p)
 
     p = sub.add_parser("export-srt", help="export blocks-mode SRT files")
+    p.set_defaults(run=cmd_export_srt)
     p.add_argument("logs", help="emission-log corpus file")
     _add_common(p)
 
@@ -390,14 +394,6 @@ def cmd_export_srt(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "evaluate": cmd_evaluate,
-    "replay": cmd_replay,
-    "export-srt": cmd_export_srt,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -409,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "simulate" and not finite_delay_k(args.k, args.step_ms / 1000.0):
         parser.error("--k times --step-ms must be a finite number of seconds")
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except StreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

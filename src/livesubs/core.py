@@ -38,29 +38,26 @@ EOS_SURFACE = "<eos>"
 
 class StreamError(ValueError):
     """Malformed token stream. ``line`` and ``field``, when known, locate the
-    bad record in its file; the text then starts with them."""
+    bad record in its file; the text then starts with them. The args are the
+    parts (message, line, field), as for OSError, so the error pickles
+    unchanged (raised in a worker process)."""
 
     # What the text names instead of the line when it is unknown.
     _unlocated = ""
 
     def __init__(self, message: str, line: int | None = None, field: str | None = None):
-        super().__init__(self._text(message, line, field))
+        super().__init__(message, line, field)
         self.message = message
         self.line = line
         self.field = field
 
-    def _text(self, message: str, line: int | None, field: str | None) -> str:
-        where = f"line {line}" if line is not None else self._unlocated
+    def __str__(self) -> str:
+        where = f"line {self.line}" if self.line is not None else self._unlocated
         if not where:
-            return message
-        if field is not None:
-            where += f", field {field!r}"
-        return f"{where}: {message}"
-
-    def __reduce__(self):
-        # Rebuild from the parts, not from the composed text, so the error
-        # is unchanged after pickling (raised in a worker process).
-        return type(self), (self.message, self.line, self.field)
+            return self.message
+        if self.field is not None:
+            where += f", field {self.field!r}"
+        return f"{where}: {self.message}"
 
 
 class NonMonotonicTimeError(StreamError):

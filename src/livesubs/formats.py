@@ -257,11 +257,6 @@ def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
     a refused log is written."""
     for log in logs:
         events = log.events
-        line = _record_line(
-            log.segment_id, log.source_duration, log.wait_k, log.step_size,
-            [ev.surface for ev in events], [ev.emit_time for ev in events],
-            log.consumed_source,
-        )
         _record_columns(log_to_record(log), None)
         for j, ev in enumerate(events):
             read = classify_surface(ev.surface)
@@ -270,7 +265,11 @@ def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
                     f"event {j}: {ev.surface!r} of kind {ev.kind.value} is read back "
                     f"as kind {read.value}", None, "events",
                 )
-        out.write(line)
+        out.write(_record_line(
+            log.segment_id, log.source_duration, log.wait_k, log.step_size,
+            [ev.surface for ev in events], [ev.emit_time for ev in events],
+            log.consumed_source,
+        ))
 
 
 def _record_line(

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import sys
 import threading
 import time
 
@@ -348,6 +349,28 @@ def test_invalid_arguments_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_argument_that_is_not_a_number_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "refs.tsv", "--k", "abc"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --k: invalid int value: 'abc'\n")
+
+
+def _help(command, capsys) -> str:
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_describes_out_as_each_command_uses_it(capsys):
+    evaluate = _help("evaluate", capsys)
+    assert "--out OUT JSON report file (default: none; only the table is printed)" in evaluate
+    assert "LIVESUBS_OUT" not in evaluate
+    for command in ("simulate", "export-srt"):
+        assert "--out OUT output path (default: $LIVESUBS_OUT or cwd)" in _help(command, capsys)
+
+
 @pytest.mark.parametrize("command", ["evaluate", "export-srt"])
 def test_corpus_commands_have_no_jobs_option(command, capsys):
     # the worker count comes from the CPUs the process may use (test_jobs.py)
@@ -392,6 +415,13 @@ def test_export_names_the_line_of_an_id_too_long_for_a_file_name(tmp_path, logs_
     assert [p.name for p in out_dir.iterdir()] == ["seg00000.srt"]
 
 
+def test_export_reports_a_file_it_cannot_write_as_an_io_error(tmp_path, logs_file, capsys):
+    out_dir = tmp_path / "srt"
+    (out_dir / "seg00001.srt").mkdir(parents=True)
+    assert main(["export-srt", str(logs_file), "--out", str(out_dir)]) == 4
+    assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] Is a directory: 'seg00001.srt'\n"
+
+
 def test_export_rejects_duplicate_ids(tmp_path, logs_file, capsys):
     corpus = _with_id(logs_file, tmp_path, 7, "seg00001")
     assert main(["export-srt", str(corpus), "--out", str(tmp_path / "srt")]) == 3
@@ -410,6 +440,19 @@ def test_non_finite_number_exits_3(tmp_path, logs_file, capsys, command):
     corpus.write_text("".join(lines), encoding="utf-8")
     assert main([command, str(corpus), "--out", str(tmp_path / "out")]) == 3
     assert "line 3: non-finite number NaN" in capsys.readouterr().err
+
+
+def test_integer_of_too_many_digits_exits_3(tmp_path, logs_file, capsys):
+    lines = logs_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].count('"k": 3,') == 1
+    lines[1] = lines[1].replace('"k": 3,', '"k": ' + "9" * 5000 + ",")
+    corpus = tmp_path / "digits.jsonl"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    assert main(["evaluate", str(corpus)]) == 3
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err.startswith(
+        f"error: line 2: unreadable number: Exceeds the limit ({limit} digits)"
+    )
 
 
 def test_simulate_rejects_non_finite_duration(tmp_path, capsys):

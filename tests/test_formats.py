@@ -237,6 +237,14 @@ def test_overlapping_cues_rejected_even_under_optimize():
         assert "overlapping cues" in proc.stdout
 
 
+def test_overlapping_cues_rejected():
+    from livesubs import DisplayMode, DisplaySchedule, ScreenState
+
+    states = (ScreenState(("a",), 1.0, 3.0), ScreenState(("b",), 2.0, 4.0))
+    with pytest.raises(ValueError, match=r"^overlapping cues: cue 2 starts before cue 1 ends$"):
+        export_srt(DisplaySchedule(DisplayMode.BLOCKS, states, {}))
+
+
 def _one_cue(onset, offset):
     from livesubs import DisplayMode, DisplaySchedule, ScreenState
 
@@ -310,11 +318,16 @@ def test_decreasing_time_names_its_line():
 
 
 def test_corpus_writer_never_writes_non_finite_numbers():
-    # The constructors check the times; consumed_source is checked when read.
-    log = EmissionLog("s", 2.0, 3, events=parse_token_stream([("a", 1.0)]),
-                      consumed_source=(float("nan"),))
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        write_log_corpus([log], io.StringIO())
+    # The constructors check the times; consumed_source is checked as the
+    # reader checks it, before the line is rendered.
+    for g in (math.nan, math.inf, -math.inf):
+        log = EmissionLog("s", 2.0, 3, events=parse_token_stream([("a", 1.0)]),
+                          consumed_source=(g,))
+        out = io.StringIO()
+        with pytest.raises(SchemaError) as info:
+            write_log_corpus([log], out)
+        assert (info.value.line, info.value.field) == (None, "g")
+        assert out.getvalue() == ""
 
 
 

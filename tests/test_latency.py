@@ -76,6 +76,13 @@ def test_al_empty_log():
         average_lagging(make_log([("<eob>", 1.0)], duration=2.0))
 
 
+def test_delay_empty_log():
+    log = make_log([("<eob>", 1.0)], duration=2.0)
+    schedule = schedule_block_mode(extract_blocks(log.events))
+    with pytest.raises(EmptyLogError):
+        display_delay(schedule, log, 0.0)
+
+
 def test_word_mode_delay_equals_al():
     log = make_log([("a", 1.0), ("b", 1.5), ("<eob>", 2.0)], duration=5.0)
     al = average_lagging(log)

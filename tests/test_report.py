@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -42,6 +43,13 @@ def test_table_has_three_rows(small_report):
     assert lines[2].startswith("block")
     assert lines[3].startswith("line")
     assert "±" in lines[1]
+
+
+def test_table_marks_a_mode_without_rs_samples(small_report):
+    rs_by_mode = {**small_report.rs_by_mode, DisplayMode.BLOCKS: None}
+    report = dataclasses.replace(small_report, rs_by_mode=rs_by_mode)
+    delay = f"{report.delay_by_mode[DisplayMode.BLOCKS]:.0f}"
+    assert render_table(report).splitlines()[2].split() == ["block", "-", "-", delay]
 
 
 def test_json_round_trips(small_report):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from livesubs import (
     AnnotatedReference,
+    StreamError,
     WaitKConfig,
     average_lagging,
     simulate_waitk,
@@ -15,6 +16,11 @@ from oracles import naive_al_ms
 
 def ref(tokens, duration=10.0, seg="s1"):
     return AnnotatedReference(seg, tuple(tokens), duration)
+
+
+def test_reference_without_tokens_rejected():
+    with pytest.raises(StreamError, match=r"^segment s: no tokens$"):
+        AnnotatedReference("s", (), 1.0)
 
 
 def test_first_emissions():
