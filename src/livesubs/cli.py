@@ -257,7 +257,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.out is not None and (_names_dir(args.out) or os.path.isdir(args.out)):
+    # An empty --out names the current directory, as Path('') does.
+    if args.out is not None and (_names_dir(args.out) or os.path.isdir(args.out or os.curdir)):
         print(
             f"error: --out {args.out} names a directory; evaluate writes one report file",
             file=sys.stderr,
@@ -301,14 +302,18 @@ def cmd_replay(args) -> int:
         # Before any frame is shown: a segment whose latency no float holds shows none.
         if columns[0] == args.segment:
             log = _built_log(*columns)
-            return log, evaluate_log(log, max_row_chars=args.max_row_chars)
-        return None
+            return columns[0], (log, evaluate_log(log, max_row_chars=args.max_row_chars))
+        return columns[0], None
 
-    # Check the records up to the first match, build its log alone, and stop:
-    # later records are not read.
+    # Check the records up to the first match, their ids included, build its
+    # log alone, and stop: later records are not read.
+    first_line: dict[str, int] = {}
+    found = None
     with _open_text(args.logs) as f:
-        measured = (x for _, x in _each_record(1, f, measure))
-        found = next((x for x in measured if x is not None), None)
+        for lineno, (seg_id, found) in _each_record(1, f, measure):
+            _first_use(first_line, seg_id, lineno)
+            if found is not None:
+                break
     if found is None:
         print(f"error: unknown segment id {args.segment!r}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Sequence
@@ -105,7 +105,6 @@ class CorpusReport:
     length_conformity_pct: float | None
     rs_threshold: float
     cpl_bounds: tuple[int, int]
-    segments: tuple[SegmentMetrics, ...] = field(default=())
     # What the per-segment report lists, in corpus order: one tuple per
     # segment of its id, its AL and each mode's delay in MODE_ORDER (ms).
     segment_rows: Sequence[tuple] = ()
@@ -197,17 +196,12 @@ def evaluate_corpus(
     min_cpl: int = MIN_CPL,
     max_cpl: int = MAX_CPL,
     max_row_chars: int = MAX_ROW_CHARS,
-    keep_segments: bool = False,
 ) -> CorpusReport:
     """Aggregate metrics over a corpus of emission logs."""
     tally = CorpusTally()
-    segments = []
     for log in logs:
-        metrics = evaluate_log(log, min_cpl, max_cpl, max_row_chars)
-        tally.add(metrics)
-        if keep_segments:
-            segments.append(metrics)
-    return replace(tally.report(rs_threshold, min_cpl, max_cpl), segments=tuple(segments))
+        tally.add(evaluate_log(log, min_cpl, max_cpl, max_row_chars))
+    return tally.report(rs_threshold, min_cpl, max_cpl)
 
 
 class CorpusTally:

@@ -673,6 +673,14 @@ def test_evaluate_refuses_an_out_naming_an_existing_directory(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_evaluate_refuses_an_empty_out(tmp_path, capsys):
+    # An empty --out names the current directory, as Path('') does.
+    assert main(["evaluate", str(tmp_path / "missing.jsonl"), "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out  names a directory; evaluate writes one report file\n"
+
+
 def test_evaluate_prints_nothing_when_its_report_cannot_be_written(tmp_path, logs_file, capsys):
     afile = tmp_path / "afile"
     afile.write_text("not a directory", encoding="utf-8")

@@ -342,6 +342,13 @@ _WORDS = st.sampled_from(["<eol>", "<eob>"]) | _EDGE_TEXT.map(
 )
 
 
+class _Int(int):
+    """An int subclass, which json.dumps writes as int.__repr__ does."""
+
+    def __repr__(self):
+        return f"_Int({int(self)})"
+
+
 @st.composite
 def _logs(draw):
     n = draw(st.integers(0, 6))
@@ -366,6 +373,7 @@ def _logs(draw):
 @example(EmissionLog("", 1, 1, 1))
 @example(EmissionLog('a"\\\n\u2028é', 1e308, 3, 5e-324,
                      parse_token_stream([("\x00\"", 0.0), ("<eos>", 1e16)]), (0, 1e308)))
+@example(EmissionLog("s", 1.0, _Int(3), 0.28, parse_token_stream([("a", 0.5), ("b", 0.9)])))
 def test_corpus_line_is_what_json_dumps_writes(log):
     expected = json.dumps(log_to_record(log), ensure_ascii=False, allow_nan=False) + "\n"
     times = [ev.emit_time for ev in log.events]

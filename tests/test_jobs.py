@@ -63,6 +63,13 @@ def _export(logs, out, cpus, capsys):
     return code, captured.out.replace(str(out), "OUT"), captured.err
 
 
+def _replay(logs, out, cpus, capsys):
+    # A segment after line 600: replay reads the records up to it.
+    code = _main_on_cpus(cpus, ["replay", str(logs), "--segment", "seg00650", "--speed", "0"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def _srt_files(out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
@@ -120,6 +127,27 @@ def test_pool_has_no_more_workers_than_runs(corpus, tmp_path, capsys, monkeypatc
     assert _export(two_runs, tmp_path / "srt", 8, capsys)[0] == 0
     assert sizes == [2, 2]
     assert len(_srt_files(tmp_path / "srt")) == cli.CHUNK_LINES + 1
+
+
+def test_cpu_count_sets_the_workers_without_an_affinity_call(corpus, tmp_path, capsys, monkeypatch):
+    # As on an OS with no sched_getaffinity: os.cpu_count(), or 1 when unknown.
+    assert _evaluate(corpus, tmp_path / "affinity.json", 2, capsys)[0] == 0
+    expected = (tmp_path / "affinity.json").read_bytes()
+    sizes = []
+    real_pool = multiprocessing.Pool
+
+    def spy(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, pools in ((None, []), (2, [2])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"r{cpus}.json"
+        assert main(["evaluate", str(corpus), "--per-segment", "--out", str(out)]) == 0
+        assert sizes == pools
+        assert out.read_bytes() == expected
 
 
 @pytest.mark.parametrize("run", [_evaluate, _export])
@@ -208,7 +236,7 @@ def test_cli_report_equals_library_report(corpus, tmp_path, capsys, monkeypatch)
     out = tmp_path / "report.json"
     assert _evaluate(corpus, out, 2, capsys)[0] == 0
     with open(corpus, encoding="utf-8") as f:
-        expected = write_report(evaluate_corpus(read_log_corpus(f), keep_segments=True), True)
+        expected = write_report(evaluate_corpus(read_log_corpus(f)), True)
     assert out.read_bytes() == expected.encode("utf-8")
 
 
@@ -255,7 +283,7 @@ def test_evaluate_rejects_an_id_repeated_in_a_later_run(corpus, tmp_path, capsys
     first = corpus.read_text(encoding="utf-8").splitlines()[0]
     repeated = _edited(corpus, tmp_path, {600: lambda r: first})
     expected = "error: line 600, field 'id': duplicate segment id 'seg00000' (first on line 1)\n"
-    for run in (_evaluate, _export):
+    for run in (_evaluate, _export, _replay):
         out = tmp_path / run.__name__
         results = {cpus: run(repeated, out.with_suffix(f".{cpus}"), cpus, capsys) for cpus in (1, 2)}
         assert results[1] == results[2] == (3, "", expected)

@@ -21,9 +21,13 @@ from conftest import make_refs, simulate_corpus
 
 
 @pytest.fixture(scope="module")
-def small_report():
-    logs = simulate_corpus(make_refs(40, seed=8), k=3)
-    return evaluate_corpus(logs, keep_segments=True)
+def small_logs():
+    return simulate_corpus(make_refs(40, seed=8), k=3)
+
+
+@pytest.fixture(scope="module")
+def small_report(small_logs):
+    return evaluate_corpus(small_logs)
 
 
 def test_modes_present_in_fixed_order(small_report):
@@ -66,8 +70,8 @@ def test_empty_corpus_report():
     assert "(empty corpus)" in render_table(report)
 
 
-def test_per_segment_metrics_consistent(small_report):
-    seg = small_report.segments[0]
+def test_per_segment_metrics_consistent(small_logs):
+    seg = evaluate_log(small_logs[0])
     assert seg.delay_by_mode[DisplayMode.WORD_FOR_WORD] == pytest.approx(
         seg.average_lagging
     )
@@ -140,10 +144,10 @@ def test_write_report_is_json_dumps(report):
         assert write_report(report, per_segment) == expected + "\n"
 
 
-def test_per_segment_rows_follow_segments(small_report):
+def test_per_segment_rows_follow_segments(small_logs, small_report):
     rows = [
         (seg.segment_id, seg.average_lagging, *seg.delay_by_mode.values())
-        for seg in small_report.segments
+        for seg in map(evaluate_log, small_logs)
     ]
     assert list(small_report.segment_rows) == rows
     assert list(report_to_dict(small_report, True)["per_segment"][0]["delay_ms"]) == [
