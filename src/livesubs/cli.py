@@ -234,8 +234,9 @@ def cmd_simulate(args) -> int:
 
     def simulate_line(fields) -> tuple[str, str]:
         """(segment id, corpus line) of a reference's checked fields: the line
-        write_log_corpus writes for simulate_waitk(ref, cfg), made from the
-        columns once they are checked, or the constructors' error."""
+        write_log_corpus writes for simulate_waitk(ref, cfg), rendered from
+        the columns once _check_columns has passed them, or the
+        constructors' error, which names field 'tokens'."""
         return fields[0], _record_line(*_emission_columns(*fields, cfg))
 
     first_line: dict[str, int] = {}
@@ -260,7 +261,7 @@ def cmd_evaluate(args) -> int:
     # An empty --out names the current directory, as Path('') does.
     if args.out is not None and (_names_dir(args.out) or os.path.isdir(args.out or os.curdir)):
         print(
-            f"error: --out {args.out} names a directory; evaluate writes one report file",
+            f"error: --out {args.out!r} names a directory; evaluate writes one report file",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -9,6 +9,7 @@ from the start of the source audio.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -106,16 +107,17 @@ def _check_event(surface: str, kind: TokenKind, t: float) -> None:
     """Raise for a token that TokenEvent does not hold: an empty surface, a
     word holding whitespace, a time that is not finite or is below 0."""
     if not surface:
-        raise EmptySurfaceError("token surface is empty")
+        raise EmptySurfaceError("token surface is empty", None, "events")
     if kind is TokenKind.WORD and not _unbroken(surface):
-        raise StreamError(f"word surface contains whitespace: {surface!r}")
+        raise StreamError(f"word surface contains whitespace: {surface!r}", None, "events")
     if not 0 <= t < math.inf:
-        raise StreamError(f"emission time must be finite and >= 0, got {t}")
+        raise StreamError(f"emission time must be finite and >= 0, got {t}", None, "events")
 
 
 @dataclass(frozen=True, slots=True)
 class TokenEvent:
-    """One emitted token with its emission timestamp."""
+    """One emitted token with its emission timestamp. Its kind is the one
+    its surface reads as (classify_surface), as in a corpus file."""
 
     surface: str
     kind: TokenKind
@@ -123,6 +125,12 @@ class TokenEvent:
 
     def __post_init__(self) -> None:
         _check_event(self.surface, self.kind, self.emit_time)
+        read = classify_surface(self.surface)
+        if read is not self.kind:
+            raise StreamError(
+                f"{self.surface!r} of kind {self.kind.value} is read back as kind {read.value}",
+                None, "events",
+            )
 
     @property
     def is_word(self) -> bool:
@@ -154,7 +162,9 @@ def _check_stream(pairs: Iterable[tuple[str, float]]) -> None:
     last_t = -math.inf
     for surface, t in pairs:
         if t < last_t:
-            raise NonMonotonicTimeError(f"emission time decreases: {t} after {last_t}")
+            raise NonMonotonicTimeError(
+                f"emission time decreases: {t} after {last_t}", None, "events"
+            )
         last_t = t
         _check_event(surface, classify_surface(surface), t)
 
@@ -239,6 +249,82 @@ def finite_delay_k(wait_k: int, step_size: float) -> bool:
         return False
 
 
+# The rules of a log's fields that the corpus reader keeps too, each written
+# once and called by both: a log that can be built is one the reader
+# accepts, and a rule either breaks names the same field with the same text.
+# Each raises a StreamError with no line, which the reader gives its line.
+
+_NUMBER = (int, float)
+
+
+def _is_number(value) -> bool:
+    # type() first: nearly every value is a float, and then no isinstance runs.
+    return type(value) is float or (
+        isinstance(value, _NUMBER) and not isinstance(value, bool)
+    )
+
+
+def _typed(value, types: tuple, field: str) -> None:
+    """Refuse a value of none of types, or a bool: a field of the wrong JSON type."""
+    if not isinstance(value, types) or isinstance(value, bool):
+        expected = "a number" if float in types else types[0].__name__
+        raise StreamError(f"expected {expected}, got {value!r}", None, field)
+
+
+def _as_float(value: int | float, field: str) -> float:
+    """A number as a float: a value of another type (a bool is one), or an
+    int that no float holds, names its field."""
+    _typed(value, _NUMBER, field)
+    try:
+        return float(value)
+    except OverflowError:
+        raise StreamError("integer too large for a float", None, field) from None
+
+
+def _utf8(text: str) -> bool:
+    """Whether text can be written as UTF-8: it holds no lone surrogate,
+    neither one escaped in the JSON nor an undecodable input byte read as
+    one (surrogateescape)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _check_utf8(text: str, field: str, event: int | None = None) -> None:
+    """Refuse text that cannot be written as UTF-8: the id, or the word of
+    the event numbered event."""
+    if not text.isascii() and not _utf8(text):
+        where = "" if event is None else f"event {event}: 'w' is "
+        raise StreamError(f"{where}not UTF-8 text: {text!r}", None, field)
+
+
+def _event_time(j: int, t, event: dict) -> float:
+    """Event j's time t as a float; event is that event as a record holds it."""
+    if not _is_number(t):
+        raise StreamError(f"event {j} needs a number 't', got {event!r}", None, "events")
+    return _as_float(t, "events")
+
+
+def _check_delay_k(wait_k: int, step_size: float) -> None:
+    if not finite_delay_k(wait_k, step_size):
+        raise StreamError("step * k must be a finite number of seconds", None, "k")
+
+
+def _check_consumed(consumed: Iterable[float], duration: float) -> None:
+    """Refuse consumed-source entries but numbers in [0, duration] that
+    never decrease (duration is a float)."""
+    last = 0.0
+    for j, x in enumerate(consumed):
+        if not (type(x) is float or _is_number(x)) or not last <= x <= duration:
+            raise StreamError(
+                f"entry {j} is {x!r}; entries must be numbers in "
+                f"[0, {duration!r}] that never decrease", None, "g",
+            )
+        last = x
+
+
 @dataclass(frozen=True)
 class EmissionLog:
     """One audio segment's emission sequence plus policy parameters.
@@ -246,6 +332,12 @@ class EmissionLog:
     ``consumed_source`` optionally records, per event, how much source audio
     (seconds) had been consumed when the token was emitted; simulated logs
     carry it so latency can be computed exactly.
+
+    A log holds only what a corpus file holds, so write_log_corpus writes
+    every log as a line that read_log_corpus reads back as it: the
+    constructors refuse what the reader rejects, with a StreamError naming
+    the record field (``id``, ``duration``, ``k``, ``step``, ``events``,
+    ``g``) and, for a rule the reader keeps too, the reader's message.
     """
 
     segment_id: str
@@ -259,7 +351,7 @@ class EmissionLog:
         events = self.events
         _check_log(
             self.segment_id, self.source_duration, self.wait_k, self.step_size,
-            [ev.emit_time for ev in events], [ev.kind for ev in events], self.consumed_source,
+            [ev.surface for ev in events], [ev.emit_time for ev in events], self.consumed_source,
         )
 
     @property
@@ -280,30 +372,60 @@ def _check_log(
     source_duration: float,
     wait_k: int,
     step_size: float,
+    surfaces: Sequence[str],
     times: Sequence[float],
-    kinds: Sequence[TokenKind],
     consumed_source: Sequence[float] | None,
 ) -> None:
-    """Raise what EmissionLog raises for these fields and the (time, kind)
-    columns of its events."""
-    if not 0 < source_duration < math.inf:
-        raise StreamError(f"source_duration must be finite and > 0, got {source_duration}")
-    if not 1 <= wait_k < math.inf:
-        raise StreamError(f"wait_k must be finite and >= 1, got {wait_k}")
-    if not 0 < step_size < math.inf:
-        raise StreamError(f"step_size must be finite and > 0, got {step_size}")
+    """Raise what EmissionLog raises for these fields and the (surface,
+    time) columns of its events, each of which TokenEvent has passed. A
+    number out of range fails that rule before its type is checked."""
+    _typed(segment_id, (str,), "id")
+    _check_utf8(segment_id, "id")
+    if _is_number(source_duration) and not 0 < source_duration < math.inf:
+        raise StreamError(
+            f"source_duration must be finite and > 0, got {source_duration}", None, "duration"
+        )
+    duration = _as_float(source_duration, "duration")
+    if _is_number(wait_k) and not 1 <= wait_k < math.inf:
+        raise StreamError(f"wait_k must be finite and >= 1, got {wait_k}", None, "k")
+    _typed(wait_k, (int,), "k")
+    if _is_number(step_size) and not 0 < step_size < math.inf:
+        raise StreamError(f"step_size must be finite and > 0, got {step_size}", None, "step")
+    _as_float(step_size, "step")
+    _check_delay_k(wait_k, step_size)
     last_t = -math.inf
-    last = len(kinds) - 1
-    for i, (t, kind) in enumerate(zip(times, kinds)):
+    last = len(times) - 1
+    for i, (surface, t) in enumerate(zip(surfaces, times)):
         if t < last_t:
             raise NonMonotonicTimeError(
-                f"segment {segment_id}: emission time decreases at event {i}"
+                f"segment {segment_id}: emission time decreases at event {i}", None, "events"
             )
         last_t = t
-        if kind is TokenKind.END_OF_SEGMENT and i != last:
-            raise StreamError(f"segment {segment_id}: <eos> is not the last event")
-    if consumed_source is not None and len(consumed_source) != len(kinds):
-        raise StreamError(f"segment {segment_id}: consumed_source length mismatch")
+        if type(t) is not float:
+            _event_time(i, t, {"t": t, "w": surface})
+        _check_utf8(surface, "events", i)
+        if surface == EOS_SURFACE and i != last:
+            raise StreamError(f"segment {segment_id}: <eos> is not the last event", None, "events")
+    if consumed_source is not None:
+        if len(consumed_source) != len(times):
+            raise StreamError(f"segment {segment_id}: consumed_source length mismatch", None, "g")
+        _check_consumed(consumed_source, duration)
+
+
+_FLOATS = {float}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _rising(values: Sequence[float], top: float) -> bool:
+    """Whether values are floats from 0 to top that never decrease."""
+    if not _FLOATS.issuperset(map(type, values)):
+        return False
+    last = 0.0
+    for x in values:
+        if not last <= x <= top:  # NaN fails
+            return False
+        last = x
+    return True
 
 
 def _check_columns(
@@ -319,33 +441,34 @@ def _check_columns(
     parse_token_stream(zip(surfaces, times)), consumed_source) raises, of the
     same type and text; surfaces and times are of one length.
 
-    One pass over the columns tests every rule at once. Only when that test
-    fails are the rules walked in the constructors' order, to raise the
-    first one broken.
+    One pass over the columns tests every rule at once, on numbers that are
+    exact floats (k an exact int). Only when that test fails, a number of
+    another type included, are the rules walked in the constructors' order,
+    to raise the first one broken.
     """
-    last = 0.0
-    for t in times:
-        if not last <= t < math.inf:  # in order, finite and >= 0
-            break
-        last = t
-    else:
-        if (
-            0 < source_duration < math.inf
-            and 1 <= wait_k < math.inf
-            and 0 < step_size < math.inf
-            and (consumed_source is None or len(consumed_source) == len(times))
-            and (
-                not surfaces
-                # no surface is empty or holds whitespace, and <eos> is last
-                or ("" not in surfaces and _unbroken("".join(surfaces))
-                    and EOS_SURFACE not in surfaces[:-1])
-            )
-        ):
-            return
+    text = "".join(surfaces)
+    if (
+        type(segment_id) is str and (segment_id.isascii() or _utf8(segment_id))
+        and type(source_duration) is float and 0 < source_duration < math.inf
+        and type(wait_k) is int and wait_k >= 1
+        and type(step_size) is float and 0 < step_size < math.inf
+        and finite_delay_k(wait_k, step_size)
+        and _rising(times, _FLOAT_MAX)  # in order, finite and >= 0
+        and (
+            consumed_source is None
+            or len(consumed_source) == len(times) and _rising(consumed_source, source_duration)
+        )
+        and (
+            not surfaces
+            # no surface is empty, holds whitespace or is not UTF-8, and <eos> is last
+            or ("" not in surfaces and _unbroken(text) and (text.isascii() or _utf8(text))
+                and EOS_SURFACE not in surfaces[:-1])
+        )
+    ):
+        return
     _check_stream(zip(surfaces, times))
     _check_log(
-        segment_id, source_duration, wait_k, step_size,
-        times, [classify_surface(s) for s in surfaces], consumed_source,
+        segment_id, source_duration, wait_k, step_size, surfaces, times, consumed_source
     )
 
 

@@ -24,14 +24,20 @@ from .core import (
     EmissionLog,
     NonMonotonicTimeError,
     StreamError,
+    _NUMBER,
+    _as_float,
     _block_rows,
     _built_log,
     _check_columns,
+    _check_consumed,
+    _check_delay_k,
+    _check_utf8,
     _closed_offset,
+    _event_time,
     _tiled,
-    classify_surface,
+    _typed,
+    _utf8,
     delay_k_seconds,
-    finite_delay_k,
 )
 from .defaults import DisplayMode
 
@@ -60,48 +66,18 @@ class NonPositiveDurationError(SchemaError):
     pass
 
 
-def _is_number(value) -> bool:
-    # type() first: nearly every value is a float, and then no isinstance runs.
-    return type(value) is float or (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-    )
-
-
-def _float(value: int | float, line: int | None, field: str) -> float:
-    """A JSON number as a float: an integer too large for one names its field."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError("integer too large for a float", line, field) from None
-
-
-def _utf8(text: str) -> bool:
-    """Whether text can be written as UTF-8: it holds no lone surrogate,
-    neither one escaped in the JSON nor an undecodable input byte read as
-    one (surrogateescape)."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 # The JSON types of the fields of a corpus record.
-_TYPES = {
-    "id": (str,), "duration": (int, float), "k": (int,), "step": (int, float), "events": (list,),
-}
+_TYPES = {"id": (str,), "duration": _NUMBER, "k": (int,), "step": _NUMBER, "events": (list,)}
 
 
-def _require(record: dict, field: str, line: int | None):
+def _require(record: dict, field: str):
     value = record.get(field)
     types = _TYPES[field]
     if type(value) in types:  # nearly every value; never a bool
         return value
     if field not in record:
-        raise SchemaError("missing", line, field)
-    if not isinstance(value, types) or isinstance(value, bool):
-        expected = "a number" if float in types else types[0].__name__
-        raise SchemaError(f"expected {expected}, got {value!r}", line, field)
+        raise SchemaError("missing", None, field)
+    _typed(value, types, field)
     return value
 
 
@@ -113,62 +89,51 @@ def log_from_record(record: dict, line: int | None = None) -> EmissionLog:
 def _record_columns(record: dict, line: int | None) -> tuple:
     """(id, duration, k, step, surfaces, times, g) of one parsed interchange
     record: the columns log_from_record builds its log of, its fields and
-    events read one by one. The first rule broken raises, naming its field."""
-    seg_id = _require(record, "id", line)
-    if not seg_id.isascii() and not _utf8(seg_id):
-        raise SchemaError(f"not UTF-8 text: {seg_id!r}", line, "id")
-    # The constructors check these ranges too, but only the reader knows the field.
-    duration = _float(_require(record, "duration", line), line, "duration")
-    if duration <= 0:
-        raise NonPositiveDurationError("duration must be > 0", line, "duration")
-    if not duration < math.inf:
-        raise SchemaError("duration must be finite", line, "duration")
-    k = _require(record, "k", line)
-    if k < 1:
-        raise SchemaError("k must be >= 1", line, "k")
-    step = _float(_require(record, "step", line), line, "step")
-    if not 0 < step < math.inf:
-        raise SchemaError("step must be finite and > 0", line, "step")
-    if not finite_delay_k(k, step):
-        raise SchemaError("step * k must be a finite number of seconds", line, "k")
-    surfaces: list[str] = []
-    times: list[float] = []
-    for j, ev in enumerate(_require(record, "events", line)):
-        if not isinstance(ev, dict) or "t" not in ev or "w" not in ev:
-            raise SchemaError(f"event {j} needs 't' and 'w'", line, "events")
-        w, t = ev["w"], ev["t"]
-        if type(t) is not float:  # nearly every time is one
-            if not _is_number(t):
-                raise SchemaError(f"event {j} needs a number 't', got {ev!r}", line, "events")
-            t = _float(t, line, "events")
-        if not isinstance(w, str):
-            raise SchemaError(f"event {j} needs a string 'w', got {ev!r}", line, "events")
-        if not w.isascii() and not _utf8(w):
-            raise SchemaError(f"event {j}: 'w' is not UTF-8 text: {w!r}", line, "events")
-        surfaces.append(w)
-        times.append(t)
-    g = record.get("g")
-    if g is not None:
-        if not isinstance(g, list) or len(g) != len(times):
-            raise SchemaError("'g' must match events in length", line, "g")
-        last = 0.0
-        for j, x in enumerate(g):
-            if not (type(x) is float or _is_number(x)) or not last <= x <= duration:
-                raise SchemaError(
-                    f"entry {j} is {x!r}; entries must be numbers in "
-                    f"[0, {duration!r}] that never decrease", line, "g",
-                )
-            last = x
-        g = tuple(map(float, g))
-    columns = seg_id, duration, k, step, surfaces, times, g
-    # Whatever the constructors still reject is about the events.
+    events read one by one. The first rule broken raises, naming its line
+    and field; a rule the constructors keep raises their text, as a
+    SchemaError unless the time decreases."""
     try:
-        _check_columns(*columns)
-    except NonMonotonicTimeError as exc:
-        raise NonMonotonicTimeError(exc.message, line, "events") from exc
+        seg_id = _require(record, "id")
+        _check_utf8(seg_id, "id")
+        # The constructors check these ranges too, but in other words.
+        duration = _as_float(_require(record, "duration"), "duration")
+        if duration <= 0:
+            raise NonPositiveDurationError("duration must be > 0", None, "duration")
+        if not duration < math.inf:
+            raise SchemaError("duration must be finite", None, "duration")
+        k = _require(record, "k")
+        if k < 1:
+            raise SchemaError("k must be >= 1", None, "k")
+        step = _as_float(_require(record, "step"), "step")
+        if not 0 < step < math.inf:
+            raise SchemaError("step must be finite and > 0", None, "step")
+        _check_delay_k(k, step)
+        surfaces: list[str] = []
+        times: list[float] = []
+        for j, ev in enumerate(_require(record, "events")):
+            if not isinstance(ev, dict) or "t" not in ev or "w" not in ev:
+                raise SchemaError(f"event {j} needs 't' and 'w'", None, "events")
+            w, t = ev["w"], ev["t"]
+            if type(t) is not float:  # nearly every time is one
+                t = _event_time(j, t, ev)
+            if not isinstance(w, str):
+                raise SchemaError(f"event {j} needs a string 'w', got {ev!r}", None, "events")
+            if not w.isascii():  # called for a non-ASCII word alone
+                _check_utf8(w, "events", j)
+            surfaces.append(w)
+            times.append(t)
+        g = record.get("g")
+        if g is not None:
+            if not isinstance(g, list) or len(g) != len(times):
+                raise SchemaError("'g' must match events in length", None, "g")
+            _check_consumed(g, duration)
+            g = tuple(map(float, g))
+        # What the constructors still reject is about the events; g is checked.
+        _check_columns(seg_id, duration, k, step, surfaces, times, None)
     except StreamError as exc:
-        raise SchemaError(exc.message, line, "events") from exc
-    return columns
+        kind = type(exc) if isinstance(exc, (SchemaError, NonMonotonicTimeError)) else SchemaError
+        raise kind(exc.message, line, exc.field) from None
+    return seg_id, duration, k, step, surfaces, times, g
 
 
 def log_to_record(log: EmissionLog) -> dict:
@@ -239,32 +204,23 @@ def _read_records(source: Iterable[str], start: int, build) -> Iterator:
 def _each_record(start: int, lines, work, read=_read_columns, field: str | None = None):
     """(line number, work(record)) for each record that read (a reader of
     this module) finds in lines, the first of which is line start of its
-    file. A StreamError from work is raised naming the line, and field when
-    it names none."""
+    file. A StreamError from work is raised naming the line, and field in
+    place of the one it names when field is given."""
     for lineno, line in enumerate(lines, start):
         for record in read((line,), start=lineno):
             try:
                 result = work(record)
             except StreamError as exc:
-                raise type(exc)(exc.message, lineno, exc.field or field) from None
+                raise type(exc)(exc.message, lineno, field or exc.field) from None
             yield lineno, result
 
 
 def write_log_corpus(logs: Iterable[EmissionLog], out: IO[str]) -> None:
-    """Write each log as one corpus line. A log the reader would reject
-    raises the reader's SchemaError (line None); an event whose surface
-    reads back as another kind raises one naming field 'events'. Nothing of
-    a refused log is written."""
+    """Write each log as one corpus line, which read_log_corpus reads back
+    as the log (a JSON number is read as a float). Nothing is checked: the
+    constructors refuse every log whose line the reader would reject."""
     for log in logs:
         events = log.events
-        _record_columns(log_to_record(log), None)
-        for j, ev in enumerate(events):
-            read = classify_surface(ev.surface)
-            if read is not ev.kind:
-                raise SchemaError(
-                    f"event {j}: {ev.surface!r} of kind {ev.kind.value} is read back "
-                    f"as kind {read.value}", None, "events",
-                )
         out.write(_record_line(
             log.segment_id, log.source_duration, log.wait_k, log.step_size,
             [ev.surface for ev in events], [ev.emit_time for ev in events],
@@ -284,8 +240,10 @@ def _record_line(
     """The corpus line of the log of these fields and (surface, time,
     consumed source) columns: json.dumps(log_to_record(log),
     ensure_ascii=False, allow_nan=False) plus a newline, laid out from a
-    template, which is several times faster. consumed may be times itself,
-    whose texts are then written twice but made once."""
+    template, which is several times faster. The columns are those of a
+    log or ones _check_columns has passed, so the line is one the reader
+    accepts; nothing is checked here. consumed may be times itself, whose
+    texts are then written twice but made once."""
     t_texts = _json_numbers(times)
     # '{"t": t, "w": w}' per event, joined by ", ".
     pairs = map(', "w": '.join, zip(t_texts, map(encode_basestring, surfaces)))

@@ -151,7 +151,7 @@ def evaluate_log(
         start = stop
     segment_id = log.segment_id
     al = _lagging_ms(_word_consumed_source(log, times), log.source_duration, segment_id)
-    if not math.isfinite(al):  # in a corpus g <= duration, so the duration is to blame
+    if not math.isfinite(al):  # g <= duration in every log, so the duration is to blame
         raise LatencyOverflowError(
             f"segment {segment_id}: AL is not a finite number of ms", None, "duration"
         )

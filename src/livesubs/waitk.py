@@ -12,7 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import EmissionLog, StreamError, _built_log, _check_columns
+from .core import (
+    EmissionLog,
+    StreamError,
+    _as_float,
+    _built_log,
+    _check_columns,
+    _check_delay_k,
+    _is_number,
+    _typed,
+)
 
 __all__ = ["WaitKConfig", "AnnotatedReference", "simulate_waitk"]
 
@@ -33,14 +42,22 @@ class WaitKConfig:
     flush_at_end: bool = True
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k < math.inf:
-            raise ValueError(f"k must be finite and >= 1, got {self.k}")
-        if not 0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        """Refuse a policy whose log no corpus holds (k an int, step a number,
+        neither a bool, step * k finite) or whose times overflow a float
+        (the compute latency a number a float holds)."""
+        k, step = self.k, self.step_size
+        if _is_number(k) and not 1 <= k < math.inf:
+            raise ValueError(f"k must be finite and >= 1, got {k}")
+        _typed(k, (int,), "k")
+        if _is_number(step) and not 0 < step < math.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {step}")
+        _as_float(step, "step")
         if not 0 <= self.compute_latency < math.inf:
             raise ValueError(
                 f"compute_latency must be finite and >= 0, got {self.compute_latency}"
             )
+        _as_float(self.compute_latency, "compute_latency")
+        _check_delay_k(k, step)
 
 
 @dataclass(frozen=True)
@@ -68,7 +85,9 @@ def simulate_waitk(ref: AnnotatedReference, cfg: WaitKConfig) -> EmissionLog:
     source and is emitted at g(i) + i * compute_latency. After the source is
     exhausted, tokens keep g = D and are spaced by compute_latency alone
     (the greedy flush). Break tokens consume a policy step like words: the
-    decoder generates them as ordinary vocabulary items.
+    decoder generates them as ordinary vocabulary items. A reference whose
+    log the constructors refuse (a bool or too large a duration, an id that
+    is not UTF-8 text, <eos> before the last token) raises their StreamError.
     """
     *columns, consumed = _emission_columns(ref.segment_id, ref.tokens, ref.duration, cfg)
     return _built_log(*columns, tuple(consumed))
@@ -79,13 +98,15 @@ def _emission_columns(segment_id: str, tokens: tuple, d: float, cfg: WaitKConfig
     simulate_waitk's log of the reference (segment_id, tokens, d), once
     _check_columns has passed them: what the constructors would raise is
     raised. With no compute latency t + i * 0.0 is t, so the times are the
-    paces, or with the flush the consumed-source list itself."""
-    k, step, latency = cfg.k, cfg.step_size, cfg.compute_latency
-    paces = [(k + i - 1) * step for i in range(1, len(tokens) + 1)]
+    paces, or with the flush the consumed-source list itself. k and the
+    latency are taken as floats, which they fit (WaitKConfig), so that no
+    sum or product of them overflows an int's conversion."""
+    k, step, latency = float(cfg.k), cfg.step_size, float(cfg.compute_latency)
+    paces = [(k + i) * step for i in range(len(tokens))]
     consumed = [pace if pace < d else d for pace in paces]  # min(d, pace)
     times = consumed if cfg.flush_at_end else paces
     if latency:
         times = [t + i * latency for i, t in enumerate(times, start=1)]
-    columns = (segment_id, d, k, step, tokens, times, consumed)
+    columns = (segment_id, d, cfg.k, step, tokens, times, consumed)
     _check_columns(*columns)
     return columns

@@ -18,40 +18,117 @@ import math
 BREAKS = {"<eol>", "<eob>", "<eos>"}
 
 
-def naive_log_fault(segment_id, duration, k, step, surfaces, times, consumed):
-    """What EmissionLog(segment_id, duration, k, step,
-    parse_token_stream(zip(surfaces, times)), consumed) raises, as (error
-    class name, text), or None when it builds.
+_KINDS = {"<eol>": "eol", "<eob>": "eob", "<eos>": "eos"}
 
-    The rules, first broken first: for each event in turn, a time below the
-    one before, an empty surface, a word (any surface but a break symbol)
-    holding whitespace, a time that is not a finite number >= 0; then the
-    duration (a finite number > 0), k (a finite number >= 1) and the step
-    (as the duration); then <eos> anywhere but last; then a consumed-source
-    list of another length than the events.
+
+def naive_log_fault(segment_id, duration, k, step, surfaces, times, consumed, kinds=None):
+    """What EmissionLog(segment_id, duration, k, step, events, consumed)
+    raises, as (error class name, text, field), or None when it builds. The
+    events are parse_token_stream(zip(surfaces, times)); or, given kinds
+    (each "word", "eol", "eob" or "eos"), TokenEvent(surface, kind, time)
+    built one by one.
+
+    The rules, first broken first. For each event in turn (field 'events'):
+    a time below the one before (parsed events only), an empty surface, a
+    word (a surface of kind "word") holding whitespace, a time that is not
+    a finite number >= 0, and a kind other than the one its surface reads
+    as (any surface but a break symbol reads as a word). Then the id: a
+    str, with no lone surrogate (no UTF-8 text holds one). Then the
+    duration, k and the step, each in turn: a number out of its range (the
+    duration and the step finite and > 0, k finite and >= 1), then of
+    another type (a number, for k an int; a bool is neither), then, but for
+    k, an integer too large for a float. Then step * k, a finite float. Then each
+    event in turn: a time below the one before (built events only), a time
+    that is not a float (an int must fit one; a bool is no number), a word
+    with a lone surrogate, <eos> anywhere but last. Last the consumed-source
+    list (field 'g'): of another length than the events, then an entry that
+    is not a number in [0, duration] or is below the one before.
     """
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    def too_large(x):
+        try:
+            float(x)
+        except OverflowError:
+            return True
+        return False
+
+    def surrogate(text):
+        return any("\ud800" <= c <= "\udfff" for c in text)
+
+    built = kinds is not None
+    read = [_KINDS.get(s, "word") for s in surfaces]
     previous = None
-    for surface, t in zip(surfaces, times):
-        if previous is not None and t < previous:
-            return "NonMonotonicTimeError", f"emission time decreases: {t} after {previous}"
+    for surface, kind, t, read_kind in zip(surfaces, kinds or read, times, read):
+        if not built and previous is not None and t < previous:
+            return (
+                "NonMonotonicTimeError", f"emission time decreases: {t} after {previous}", "events"
+            )
         previous = t
         if surface == "":
-            return "EmptySurfaceError", "token surface is empty"
-        if surface not in BREAKS and any(c.isspace() for c in surface):
-            return "StreamError", f"word surface contains whitespace: {surface!r}"
+            return "EmptySurfaceError", "token surface is empty", "events"
+        if kind == "word" and any(c.isspace() for c in surface):
+            return "StreamError", f"word surface contains whitespace: {surface!r}", "events"
         if not (t >= 0 and t != float("inf")):  # NaN is not >= 0
-            return "StreamError", f"emission time must be finite and >= 0, got {t}"
-    if not (duration > 0 and duration != float("inf")):
-        return "StreamError", f"source_duration must be finite and > 0, got {duration}"
-    if not (k >= 1 and k != float("inf")):
-        return "StreamError", f"wait_k must be finite and >= 1, got {k}"
-    if not (step > 0 and step != float("inf")):
-        return "StreamError", f"step_size must be finite and > 0, got {step}"
-    for i, surface in enumerate(surfaces):
+            return "StreamError", f"emission time must be finite and >= 0, got {t}", "events"
+        if kind != read_kind:
+            return (
+                "StreamError", f"{surface!r} of kind {kind} is read back as kind {read_kind}",
+                "events",
+            )
+    if not isinstance(segment_id, str):
+        return "StreamError", f"expected str, got {segment_id!r}", "id"
+    if surrogate(segment_id):
+        return "StreamError", f"not UTF-8 text: {segment_id!r}", "id"
+    for value, name, field, low, typename in [
+        (duration, "source_duration", "duration", 0, "a number"),
+        (k, "wait_k", "k", 1, "int"),
+        (step, "step_size", "step", 0, "a number"),
+    ]:
+        if number(value):
+            in_range = value >= 1 if low else value > 0  # NaN is neither
+            if not (in_range and value != float("inf")):
+                above = ">= 1" if low else "> 0"
+                return "StreamError", f"{name} must be finite and {above}, got {value}", field
+        if not number(value) or (field == "k" and not isinstance(value, int)):
+            return "StreamError", f"expected {typename}, got {value!r}", field
+        if field != "k" and too_large(value):  # k is checked as step * k
+            return "StreamError", "integer too large for a float", field
+    try:
+        delay = float(step) * k
+    except OverflowError:
+        delay = float("inf")
+    if not (delay == delay and abs(delay) != float("inf")):
+        return "StreamError", "step * k must be a finite number of seconds", "k"
+    for i, (surface, t) in enumerate(zip(surfaces, times)):
+        if built and i and t < times[i - 1]:
+            return (
+                "NonMonotonicTimeError",
+                f"segment {segment_id}: emission time decreases at event {i}", "events",
+            )
+        if not isinstance(t, float):
+            if not number(t):
+                event = {"t": t, "w": surface}
+                return "StreamError", f"event {i} needs a number 't', got {event!r}", "events"
+            if too_large(t):
+                return "StreamError", "integer too large for a float", "events"
+        if surrogate(surface):
+            return "StreamError", f"event {i}: 'w' is not UTF-8 text: {surface!r}", "events"
         if surface == "<eos>" and i != len(surfaces) - 1:
-            return "StreamError", f"segment {segment_id}: <eos> is not the last event"
-    if consumed is not None and len(consumed) != len(surfaces):
-        return "StreamError", f"segment {segment_id}: consumed_source length mismatch"
+            return "StreamError", f"segment {segment_id}: <eos> is not the last event", "events"
+    if consumed is not None:
+        if len(consumed) != len(surfaces):
+            return "StreamError", f"segment {segment_id}: consumed_source length mismatch", "g"
+        previous = 0
+        for j, x in enumerate(consumed):
+            if not number(x) or not previous <= x <= float(duration):
+                return (
+                    "StreamError",
+                    f"entry {j} is {x!r}; entries must be numbers in "
+                    f"[0, {float(duration)!r}] that never decrease", "g",
+                )
+            previous = x
     return None
 
 

@@ -657,7 +657,7 @@ def test_evaluate_refuses_an_out_ending_in_a_separator(tmp_path, capsys):
     assert main(["evaluate", str(tmp_path / "missing.jsonl"), "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --out {out} names a directory; evaluate writes one report file\n"
+    assert captured.err == f"error: --out {str(out)!r} names a directory; evaluate writes one report file\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -668,7 +668,7 @@ def test_evaluate_refuses_an_out_naming_an_existing_directory(tmp_path, capsys):
     assert main(["evaluate", str(tmp_path / "missing.jsonl"), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --out {out} names a directory; evaluate writes one report file\n"
+    assert captured.err == f"error: --out {str(out)!r} names a directory; evaluate writes one report file\n"
     assert list(tmp_path.iterdir()) == [out]
     assert list(out.iterdir()) == []
 
@@ -678,7 +678,7 @@ def test_evaluate_refuses_an_empty_out(tmp_path, capsys):
     assert main(["evaluate", str(tmp_path / "missing.jsonl"), "--out", ""]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --out  names a directory; evaluate writes one report file\n"
+    assert captured.err == "error: --out '' names a directory; evaluate writes one report file\n"
 
 
 def test_evaluate_prints_nothing_when_its_report_cannot_be_written(tmp_path, logs_file, capsys):

@@ -123,11 +123,16 @@ def test_emission_log_validation():
 
 
 def test_directly_built_objects_keep_their_rules():
-    # The kind, not the surface, decides the whitespace and <eos> rules.
-    assert TokenEvent("a b", TokenKind.END_OF_LINE, 1.0).surface == "a b"
+    # An event's kind is the one its surface reads as, as in a corpus file.
+    for surface, kind, read in [("a b", "eol", "word"), ("x", "eos", "word"), ("<eol>", "word", "eol")]:
+        with pytest.raises(StreamError) as info:
+            TokenEvent(surface, TokenKind(kind), 1.0)
+        assert (info.value.field, str(info.value)) == (
+            "events", f"{surface!r} of kind {kind} is read back as kind {read}"
+        )
     with pytest.raises(StreamError, match="^segment s: <eos> is not the last event$"):
         EmissionLog("s", 2.0, 3, events=(
-            TokenEvent("x", TokenKind.END_OF_SEGMENT, 0.5), TokenEvent("a", TokenKind.WORD, 1.0),
+            TokenEvent("<eos>", TokenKind.END_OF_SEGMENT, 0.5), TokenEvent("a", TokenKind.WORD, 1.0),
         ))
     # Events built outside parse_token_stream may be out of order.
     decrease = "^segment s: emission time decreases at event 1$"

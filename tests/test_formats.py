@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,8 @@ from livesubs import (
     write_annotated_refs,
     write_log_corpus,
 )
+from livesubs.core import classify_surface
+from livesubs.report import evaluate_log
 from livesubs.formats import SRT_END_MS, _record_line, format_srt_time, log_from_record
 from livesubs.core import _check_columns
 from livesubs.formats import log_to_record
@@ -318,17 +321,18 @@ def test_decreasing_time_names_its_line():
 
 
 def test_corpus_writer_never_writes_non_finite_numbers():
-    # The constructors check the times; consumed_source is checked as the
-    # reader checks it, before the line is rendered.
+    # The writer is never handed a number JSON cannot hold: the constructors
+    # refuse a non-finite consumed source, naming field 'g' with the
+    # reader's message for the same record.
+    record = {"id": "s", "duration": 2.0, "k": 3, "step": 0.28, "events": [{"t": 1.0, "w": "a"}]}
     for g in (math.nan, math.inf, -math.inf):
-        log = EmissionLog("s", 2.0, 3, events=parse_token_stream([("a", 1.0)]),
-                          consumed_source=(g,))
-        out = io.StringIO()
-        with pytest.raises(SchemaError) as info:
-            write_log_corpus([log], out)
+        with pytest.raises(StreamError) as info:
+            EmissionLog("s", 2.0, 3, events=parse_token_stream([("a", 1.0)]),
+                        consumed_source=(g,))
+        with pytest.raises(SchemaError) as read:
+            log_from_record({**record, "g": [g]})
         assert (info.value.line, info.value.field) == (None, "g")
-        assert out.getvalue() == ""
-
+        assert info.value.message == read.value.message
 
 
 # Numbers at the edges of float text: zero, subnormals, the smallest
@@ -350,7 +354,11 @@ class _Int(int):
 
 
 @st.composite
-def _logs(draw):
+def _fields(draw):
+    """(id, duration, k, step, surfaces, times, g) of a log at the edges of
+    JSON text and numbers. Some break a rule that the constructors and the
+    reader both keep: a lone surrogate, step * k too large for a float, g
+    outside [0, duration] or decreasing."""
     n = draw(st.integers(0, 6))
     times = sorted(draw(st.lists(
         st.sampled_from(_EDGE_NUMBERS) | st.floats(0.0, 1e308), min_size=n, max_size=n,
@@ -362,41 +370,42 @@ def _logs(draw):
     g = draw(st.none() | st.lists(
         st.sampled_from(_EDGE_NUMBERS) | st.floats(0.0, 1e308), min_size=n, max_size=n,
     ))
-    return EmissionLog(
+    return (
         draw(_EDGE_TEXT), draw(positive), draw(st.integers(1, 10**20)), draw(positive),
-        parse_token_stream(zip(surfaces, times)), None if g is None else tuple(g),
+        surfaces, times, None if g is None else tuple(g),
     )
 
 
 @settings(max_examples=300)
-@given(_logs())
-@example(EmissionLog("", 1, 1, 1))
-@example(EmissionLog('a"\\\n\u2028é', 1e308, 3, 5e-324,
-                     parse_token_stream([("\x00\"", 0.0), ("<eos>", 1e16)]), (0, 1e308)))
-@example(EmissionLog("s", 1.0, _Int(3), 0.28, parse_token_stream([("a", 0.5), ("b", 0.9)])))
-def test_corpus_line_is_what_json_dumps_writes(log):
-    expected = json.dumps(log_to_record(log), ensure_ascii=False, allow_nan=False) + "\n"
-    times = [ev.emit_time for ev in log.events]
-    fields = (log.segment_id, log.source_duration, log.wait_k, log.step_size,
-              [ev.surface for ev in log.events], times)
-    assert _record_line(*fields, log.consumed_source) == expected
-    # The writer writes that line when the reader accepts it, and otherwise
-    # raises the reader's error and writes nothing.
-    out = io.StringIO()
+@given(_fields())
+@example(("", 1, 1, 1, [], [], None))
+@example(('a"\\\n\u2028é', 1e308, 3, 5e-324, ["\x00\"", "<eos>"], [0.0, 1e16], (0, 1e308)))
+@example(("s", 1.0, _Int(3), 0.28, ["a", "b"], [0.5, 0.9], None))
+def test_corpus_line_is_what_json_dumps_writes(fields):
+    seg_id, duration, k, step, surfaces, times, g = fields
+    record = {"id": seg_id, "duration": duration, "k": k, "step": step,
+              "events": [{"t": t, "w": w} for w, t in zip(surfaces, times)]}
+    if g is not None:
+        record["g"] = list(g)
+    expected = json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n"
+    assert _record_line(*fields) == expected
+    # The writer writes that line for the log of these fields. The
+    # constructors refuse exactly the fields whose line the reader rejects,
+    # naming its field with its message.
     try:
-        list(read_log_corpus([expected]))
-    except SchemaError as read:
-        with pytest.raises(SchemaError) as info:
-            write_log_corpus([log], out)
-        assert (info.value.line, info.value.field) == (None, read.field)
-        assert info.value.message == read.message
-        assert out.getvalue() == ""
+        log = EmissionLog(seg_id, duration, k, step, parse_token_stream(zip(surfaces, times)), g)
+    except StreamError as exc:
+        with pytest.raises(SchemaError) as read:
+            list(read_log_corpus([expected]))
+        assert (exc.line, exc.field, exc.message) == (None, read.value.field, read.value.message)
     else:
+        assert log_to_record(log) == record
         assert corpus_text([log]) == expected
     # The simulator passes one list as both times and consumed source.
-    record = {**log_to_record(log), "g": times}
-    line = _record_line(*fields, times)
+    record["g"] = times
+    line = _record_line(*fields[:-1], times)
     assert line == json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n"
+
 
 # Faults, one or two of which are set in a valid event list, so that each
 # decides the outcome often: a time before the previous one, negative,
@@ -484,15 +493,24 @@ def test_reader_checks_each_event_as_the_constructors_do(record):
         assert all(type(ev.emit_time) is float for ev in log.events)
 
 
+
 # Faults in the fields of a log: not a number, not finite, out of range, a
-# bool (which the rules take for 0 or 1) and an integer no float holds.
-_PARAM_FAULTS = [0, -1.0, 0.5, math.inf, -math.inf, math.nan, True, 10**400]
+# bool (which the rules take for 0 or 1), an integer no float holds, a
+# float k, a text field's wrong type.
+_PARAM_FAULTS = [0, -1.0, 0.5, 3.0, math.inf, -math.inf, math.nan, True, 10**400, "3", None]
+_ID_FAULTS = [5, None, True, "s\ud800"]
+# Faults in the consumed source: past the duration (4 s), negative, not a
+# number, no float, and 3.5, which the entries after it may be below.
+_CONSUMED_FAULTS = [5.0, -1.0, math.nan, math.inf, True, 10**400, "0.5", 3.5]
+_BREAK_KINDS = {"<eol>": "eol", "<eob>": "eob", "<eos>": "eos"}
 
 
 @st.composite
 def _columns(draw):
-    """(id, duration, k, step, surfaces, times, consumed) of a valid log,
-    with up to three faults set in it."""
+    """((id, duration, k, step, surfaces, times, consumed), kinds) of a
+    valid log with up to three faults set in it. kinds, the events' kinds
+    when they are built one by one, are the surfaces' own unless a fault
+    sets one to another."""
     n = draw(st.integers(0, 6))
     times = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
     surfaces = draw(st.lists(
@@ -500,63 +518,111 @@ def _columns(draw):
     ))
     if surfaces and draw(st.booleans()):
         surfaces[-1] = "<eos>"
+    kinds = None
+    seg_id = "s"
     params = [4.0, 3, 0.28]
-    consumed = draw(st.none() | st.just(list(times)))
+    # None, times clamped to the duration, or the times list itself, as the
+    # simulator passes its flushed times.
+    consumed = draw(st.sampled_from([None, [min(t, 4.0) for t in times], times]))
     for _ in range(draw(st.integers(0, 3))):
-        fault = draw(st.sampled_from(["earlier", "time", "surface", "consumed", "param"]))
+        fault = draw(st.sampled_from(
+            ["earlier", "time", "surface", "consumed", "param", "id", "g", "kind"]
+        ))
         j = draw(st.integers(0, n - 1)) if n else None
         if fault == "earlier" and n:
             times[j] -= 0.25 + times[j] / 2
         elif fault == "time" and n:
-            times[j] = draw(st.sampled_from(_TIME_FAULTS))
+            times[j] = draw(st.sampled_from([*_TIME_FAULTS, 10**400, math.nan, Fraction(1, 2)]))
         elif fault == "surface" and n:
-            surfaces[j] = draw(st.sampled_from(_SURFACE_FAULTS))
+            surfaces[j] = draw(st.sampled_from([*_SURFACE_FAULTS, "a\ud800", "\udcff"]))
         elif fault == "consumed":
             consumed = [0.0] * draw(st.sampled_from([m for m in (0, n + 1, n - 1) if m >= 0]))
         elif fault == "param":
             params[draw(st.integers(0, 2))] = draw(st.sampled_from(_PARAM_FAULTS))
-    return ("s", *params, surfaces, times, consumed)
+        elif fault == "id":
+            seg_id = draw(st.sampled_from(_ID_FAULTS))
+        elif fault == "g" and consumed:
+            consumed = list(consumed)  # a fault in g alone, not in the times
+            consumed[draw(st.integers(0, len(consumed) - 1))] = draw(
+                st.sampled_from(_CONSUMED_FAULTS)
+            )
+        elif fault == "kind" and n:
+            kinds = kinds or [_BREAK_KINDS.get(s, "word") for s in surfaces]
+            kinds[j] = draw(st.sampled_from(["word", "eol", "eob", "eos"]))
+    return (seg_id, *params, surfaces, times, consumed), kinds
 
 
 @settings(max_examples=500)
 @given(_columns())
-@example(("s", 4.0, 3, 0.28, ["a", "<eos>", ""], [0.5, 0.25, 1.0], None))
-@example(("s", math.nan, 0, 0.28, ["a", "b"], [0.5, 1.0], [0.0]))
-@example(("s", 4.0, 3, -1.0, ["<eos>", "a"], [0.5, 1.0], [0.0]))
-@example(("s", 4.0, 3, 0.28, ["a"], [0.5], [0.0, 0.0]))
-@example(("s", 4.0, 3, 0.28, ["a\n"], [math.inf], None))
-def test_checker_raises_what_the_oracle_names(columns):
+@example((("s", 4.0, 3, 0.28, ["a", "<eos>", ""], [0.5, 0.25, 1.0], None), None))
+@example((("s", math.nan, 0, 0.28, ["a", "b"], [0.5, 1.0], [0.0]), None))
+@example((("s", 4.0, 3, -1.0, ["<eos>", "a"], [0.5, 1.0], [0.0]), None))
+@example((("s", 4.0, 3, 0.28, ["a"], [0.5], [0.0, 0.0]), None))
+@example((("s", 4.0, 3, 0.28, ["a\n"], [math.inf], None), None))
+@example((("s", True, 3, 0.28, ["a"], [0.5], None), None))
+@example((("s", 4.0, 10**400, 0.28, ["a"], [0.5], None), None))
+@example((("s", 4.0, 3, 0.28, ["a", "b"], [0.5, True], [0.5, 5.0]), None))
+@example((("s", 4.0, 3, 0.28, ["a", "b"], [0.5, 1.0], [0.5, 0.25]), ["word", "eol"]))
+@example((("s", 4.0, 3, 0.28, ["a b", "b"], [1.0, 0.5], None), ["eol", "word"]))
+@example((("s", 4.0, 3, 0.28, ["a", "b"], *[[0.5, 5.0]] * 2), None))
+@example((("s", 4.0, 3, 0.28, ["a", "b"], [0.5, True], None), None))
+def test_checker_raises_what_the_oracle_names(case):
     """The column checker, and the constructors it stands in for, accept
-    what the oracle accepts and raise the oracle's error otherwise."""
-    expected = naive_log_fault(*columns)
+    what the oracle accepts and raise the oracle's error otherwise, naming
+    its field; so do the constructors of events built one by one, kinds
+    included."""
+    columns, kinds = case
     seg_id, duration, k, step, surfaces, times, consumed = columns
+    if kinds is None:
+        kinds = [_BREAK_KINDS.get(s, "word") for s in surfaces]
     runs = [
-        lambda: _check_columns(*columns),
-        lambda: EmissionLog(
+        (naive_log_fault(*columns), lambda: _check_columns(*columns)),
+        (naive_log_fault(*columns), lambda: EmissionLog(
             seg_id, duration, k, step, parse_token_stream(zip(surfaces, times)), consumed
-        ),
+        )),
+        (naive_log_fault(*columns, kinds=kinds), lambda: EmissionLog(
+            seg_id, duration, k, step,
+            tuple(TokenEvent(s, TokenKind(kind), t) for s, kind, t in zip(surfaces, kinds, times)),
+            consumed,
+        )),
     ]
-    for run in runs:
+    for expected, run in runs:
         try:
             run()
         except StreamError as exc:
             assert expected is not None, exc
-            assert (type(exc).__name__, str(exc), exc.field) == (*expected, None)
+            assert (type(exc).__name__, str(exc), exc.field, exc.line) == (*expected, None)
         else:
             assert expected is None
 
 
+def _as_read(log):
+    """log as the reader reads its line back: every number but k a float,
+    as JSON numbers are read. It equals log when each int in it is one that
+    a float equals."""
+    g = log.consumed_source
+    return EmissionLog(
+        log.segment_id, float(log.source_duration), log.wait_k, float(log.step_size),
+        parse_token_stream([(ev.surface, float(ev.emit_time)) for ev in log.events]),
+        None if g is None else tuple(map(float, g)),
+    )
+
+
 # Text without lone surrogates, which no UTF-8 file holds.
 _TEXT = _EDGE_TEXT.filter(lambda text: not any("\ud800" <= c <= "\udfff" for c in text))
-# Fields of a type the reader rejects, each with a value EmissionLog holds.
+# Fields of a type the reader rejects, each in place of a valid value; the
+# events field holds a bool time.
 _TYPE_FAULTS = [("segment_id", 5), ("segment_id", None), ("source_duration", True),
-                ("wait_k", True), ("wait_k", 3.0), ("step_size", True)]
+                ("wait_k", True), ("wait_k", 3.0), ("step_size", True),
+                ("events", (TokenEvent("a", TokenKind.WORD, True),))]
+_RECORD_KEYS = {"segment_id": "id", "source_duration": "duration", "wait_k": "k",
+                "step_size": "step", "events": "events"}
 
 
 @st.composite
 def _writable_logs(draw):
-    """A log whose fields and events the reader accepts, or one whose field
-    is of a type it rejects."""
+    """(log, fault): a log whose fields and events the reader accepts, and
+    None or a (field, value) of a type the reader rejects."""
     n = draw(st.integers(0, 6))
     duration = draw(st.sampled_from([1, 7, 1e-300]) | st.floats(1e-300, 1e300))
     times = sorted(draw(st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n)))
@@ -571,31 +637,41 @@ def _writable_logs(draw):
         draw(_TEXT), duration, draw(st.integers(1, 1000)), draw(st.floats(1e-3, 1e3)),
         parse_token_stream(zip(surfaces, times)), None if g is None else tuple(g),
     )
-    fault = draw(st.none() | st.sampled_from(_TYPE_FAULTS))
-    return log if fault is None else dataclasses.replace(log, **dict([fault]))
+    return log, draw(st.none() | st.sampled_from(_TYPE_FAULTS))
+
+
+_LOG = EmissionLog("s", 1.0, 3, events=parse_token_stream([("a", 0.5)]))
 
 
 @settings(max_examples=300)
 @given(_writable_logs())
-@example(EmissionLog(5, 1.0, 3))
-@example(EmissionLog("s", 1.0, True))
-@example(EmissionLog("s", 1.0, 3.0))
-@example(EmissionLog("s", True, 3))
-@example(EmissionLog("s", 1.0, 3, events=(TokenEvent("a", TokenKind.WORD, True),)))
-def test_log_corpus_round_trips_or_is_refused(log):
-    """read(write(log)) == log for every log the writer accepts. A log it
-    refuses is one whose line the reader rejects, naming the same field."""
-    line = json.dumps(log_to_record(log), ensure_ascii=False, allow_nan=False) + "\n"
-    try:
+@example((_LOG, ("segment_id", 5)))
+@example((_LOG, ("wait_k", True)))
+@example((_LOG, ("wait_k", 3.0)))
+@example((_LOG, ("source_duration", True)))
+@example((_LOG, ("events", (TokenEvent("a", TokenKind.WORD, True),))))
+def test_log_corpus_round_trips_or_is_refused(case):
+    """read(write(log)) == [log] for every log that can be built. A field of
+    a type the reader rejects is refused by the constructors, naming the
+    reader's field with its message, so no writer is handed it."""
+    log, fault = case
+    if fault is None:
+        line = json.dumps(log_to_record(log), ensure_ascii=False, allow_nan=False) + "\n"
         text = corpus_text([log])
-    except SchemaError as exc:
-        with pytest.raises(SchemaError) as read:
-            list(read_log_corpus([line]))
-        assert (exc.line, exc.field) == (None, read.value.field)
-        assert exc.message == read.value.message
-    else:
         assert text == line
         assert list(read_log_corpus([text])) == [log]
+        return
+    name, value = fault
+    with pytest.raises(StreamError) as built:
+        dataclasses.replace(log, **{name: value})
+    record = log_to_record(log)
+    record[_RECORD_KEYS[name]] = (
+        [{"t": ev.emit_time, "w": ev.surface} for ev in value] if name == "events" else value
+    )
+    with pytest.raises(SchemaError) as read:
+        list(read_log_corpus([json.dumps(record, ensure_ascii=False) + "\n"]))
+    assert (built.value.line, built.value.field) == (None, read.value.field)
+    assert built.value.message == read.value.message
 
 
 def _read_refs(text):
@@ -668,62 +744,279 @@ def test_a_field_of_the_wrong_type_names_the_type(field, value, message):
 
 
 def test_writer_refuses_a_time_the_reader_rejects():
+    # No log holds a bool time: the constructors refuse it as the reader
+    # rejects it, naming the event.
     a = TokenEvent("a", TokenKind.WORD, 0.5)
-    log = EmissionLog("s", 2.0, 3, events=(a, TokenEvent("b", TokenKind.WORD, True)))
-    out = io.StringIO()
-    with pytest.raises(SchemaError) as info:
-        write_log_corpus([EmissionLog("s0", 2.0, 3, events=(a,)), log], out)
-    assert str(info.value) == "record, field 'events': event 1 needs a number 't', got {'t': True, 'w': 'b'}"
-    # the log before it is written, nothing of the refused one
-    assert [r.segment_id for r in read_log_corpus(out.getvalue().splitlines())] == ["s0"]
+    with pytest.raises(StreamError) as info:
+        EmissionLog("s", 2.0, 3, events=(a, TokenEvent("b", TokenKind.WORD, True)))
+    assert (info.value.line, info.value.field) == (None, "events")
+    assert str(info.value) == "event 1 needs a number 't', got {'t': True, 'w': 'b'}"
+    record = {"id": "s", "duration": 2.0, "k": 3, "step": 0.28,
+              "events": [{"t": 0.5, "w": "a"}, {"t": True, "w": "b"}]}
+    with pytest.raises(SchemaError) as read:
+        list(read_log_corpus([json.dumps(record)]))
+    assert str(read.value) == f"line 1, field 'events': {info.value}"
 
 
-_A = parse_token_stream([("a", 0.5)])
+_A = (TokenEvent("a", TokenKind.WORD, 0.5),)
 
 
 @pytest.mark.parametrize(
-    "log, field, message",
+    "fields, field, message",
     [
-        (EmissionLog("s", 1.0, 10**400), "k", "step * k must be a finite number of seconds"),
-        (EmissionLog("s", 1.0, 3, events=_A, consumed_source=(5.0,)), "g",
+        ({"wait_k": 10**400}, "k", "step * k must be a finite number of seconds"),
+        ({"events": _A, "consumed_source": (5.0,)}, "g",
          "entry 0 is 5.0; entries must be numbers in [0, 1.0] that never decrease"),
-        (EmissionLog("s", 1.0, 3, events=_A, consumed_source=(-1.0,)), "g",
+        ({"events": _A, "consumed_source": (-1.0,)}, "g",
          "entry 0 is -1.0; entries must be numbers in [0, 1.0] that never decrease"),
-        (EmissionLog("\ud800", 1.0, 3), "id", "not UTF-8 text: '\\ud800'"),
-        (EmissionLog("s", 10**400, 3), "duration", "integer too large for a float"),
-        # the reader's rule comes before the writer's own kind check
-        (EmissionLog("s", 1.0, 3, events=(TokenEvent("<eos>", TokenKind.WORD, 0.5), *_A)),
+        ({"segment_id": "\ud800"}, "id", "not UTF-8 text: '\\ud800'"),
+        ({"source_duration": 10**400}, "duration", "integer too large for a float"),
+        ({"events": (TokenEvent("<eos>", TokenKind.END_OF_SEGMENT, 0.5), *_A)},
          "events", "segment s: <eos> is not the last event"),
     ],
     ids=["k-overflow", "g-past-duration", "g-negative", "id-surrogate", "duration-overflow",
          "eos-not-last"],
 )
-def test_writer_refuses_a_value_the_reader_rejects(log, field, message):
-    line = json.dumps(log_to_record(log), ensure_ascii=False) + "\n"
+def test_writer_refuses_a_value_the_reader_rejects(fields, field, message):
+    """No log holds a value the reader rejects: the constructors refuse it
+    with the reader's field and message, so no writer is handed it."""
+    fields = {"segment_id": "s", "source_duration": 1.0, "wait_k": 3, **fields}
+    with pytest.raises(StreamError) as built:
+        EmissionLog(**fields)
+    assert (built.value.line, built.value.field, built.value.message) == (None, field, message)
+    g = fields.get("consumed_source")
+    record = {
+        "id": fields["segment_id"], "duration": fields["source_duration"], "k": fields["wait_k"],
+        "step": 0.28, "events": [{"t": ev.emit_time, "w": ev.surface} for ev in fields.get("events", ())],
+        **({} if g is None else {"g": list(g)}),
+    }
     with pytest.raises(SchemaError) as read:
-        list(read_log_corpus([line]))
+        list(read_log_corpus([json.dumps(record, ensure_ascii=False) + "\n"]))
     assert (read.value.field, read.value.message) == (field, message)
-    out = io.StringIO()
-    with pytest.raises(SchemaError) as info:
-        write_log_corpus([EmissionLog("s0", 1.0, 3, events=_A), log], out)
-    assert (info.value.line, info.value.field, info.value.message) == (None, field, message)
-    # the log before it is written, nothing of the refused one
-    assert [r.segment_id for r in read_log_corpus(out.getvalue().splitlines())] == ["s0"]
 
 
 @pytest.mark.parametrize(
     "event, message",
     [
-        (TokenEvent("<eol>", TokenKind.WORD, 1.0), "'<eol>' of kind word is read back as kind eol"),
-        (TokenEvent("a", TokenKind.END_OF_BLOCK, 1.0), "'a' of kind eob is read back as kind word"),
+        (("<eol>", TokenKind.WORD, 1.0), "'<eol>' of kind word is read back as kind eol"),
+        (("a", TokenKind.END_OF_BLOCK, 1.0), "'a' of kind eob is read back as kind word"),
     ],
 )
 def test_writer_refuses_an_event_read_back_as_another_kind(event, message):
-    log = EmissionLog("s", 2.0, 3, events=(TokenEvent("a", TokenKind.WORD, 0.5), event))
-    out = io.StringIO()
-    with pytest.raises(SchemaError) as info:
-        write_log_corpus([log], out)
-    assert (info.value.line, info.value.field) == (None, "events")
-    assert info.value.message == f"event 1: {message}"
-    assert out.getvalue() == ""
+    # No event holds a kind its surface does not read back as: TokenEvent
+    # refuses it, naming field 'events' (an event does not know its index).
+    with pytest.raises(StreamError) as info:
+        TokenEvent(*event)
+    assert (info.value.line, info.value.field, info.value.message) == (None, "events", message)
 
+
+_AB = parse_token_stream([("a", 0.5), ("b", 0.9)])
+
+
+@pytest.mark.parametrize(
+    "build, field, message",
+    [
+        (lambda: EmissionLog("s", 10**400, 3, 0.28, _AB), "duration",
+         "integer too large for a float"),
+        (lambda: EmissionLog("s", 1.0, 10**400, 0.28, _AB), "k",
+         "step * k must be a finite number of seconds"),
+        (lambda: EmissionLog("s", 1.0, 10**308, 10.0, _AB), "k",
+         "step * k must be a finite number of seconds"),
+        (lambda: EmissionLog("s", 1.0, 3, 0.28, _AB, (5.0, 0.2)), "g",
+         "entry 0 is 5.0; entries must be numbers in [0, 1.0] that never decrease"),
+        (lambda: EmissionLog("s", 1.0, 3, 0.28, _AB, (math.nan, 0.2)), "g",
+         "entry 0 is nan; entries must be numbers in [0, 1.0] that never decrease"),
+        (lambda: TokenEvent("<eol>", TokenKind.WORD, 1.0), "events",
+         "'<eol>' of kind word is read back as kind eol"),
+    ],
+    ids=["huge-duration", "huge-k", "infinite-delay", "g-past-duration", "g-nan", "eol-word"],
+)
+def test_logs_that_broke_evaluate_log_do_not_build(build, field, message):
+    """Each of these built before the constructors kept the reader's rules,
+    and then evaluate_log raised OverflowError or measured nonsense (AL of
+    5000 ms, 0.0 cps under an infinite delay, an error naming 'duration')."""
+    with pytest.raises(StreamError) as info:
+        build()
+    assert (info.value.field, info.value.message) == (field, message)
+
+
+# Values of every JSON type and of none, each of which some field rejects.
+_ANY = st.sampled_from([
+    None, True, False, "3", [], {}, 0, -1, 1, 3, 7, _Int(3), 10**20, 10**300, 10**400,
+    0.0, -0.0, 0.5, 2.5, 1e308, math.nan, math.inf, -math.inf, Fraction(1, 2),
+])
+# A time of no number type at all is a TypeError in TokenEvent's range check.
+_ANY_TIME = st.floats(0.0, 5.0) | st.sampled_from([
+    True, False, 0, 2, 10**300, 10**400, -1.0, 1e308, math.nan, math.inf, Fraction(1, 2),
+])
+_ANY_WORD = st.sampled_from(["a", "bb", "<eol>", "<eob>", "<eos>", "é", "", "a b", "a\ud800"])
+
+
+@st.composite
+def _any_fields(draw):
+    """(id, duration, k, step, (word, time) pairs, consumed): valid values
+    with any of them replaced by a value of any type."""
+    pairs = sorted(draw(st.lists(st.tuples(_ANY_WORD, st.floats(0.0, 1.0)), max_size=4)),
+                   key=lambda p: p[1])
+    pairs = [(w, draw(_ANY_TIME) if draw(st.integers(0, 5)) == 0 else t) for w, t in pairs]
+    consumed = draw(st.none() | st.lists(st.floats(0.0, 1.0), min_size=len(pairs),
+                                         max_size=len(pairs)).map(sorted))
+    if consumed and draw(st.integers(0, 3)) == 0:
+        consumed[draw(st.integers(0, len(consumed) - 1))] = draw(_ANY)
+    fields = [draw(_TEXT | st.sampled_from(["s\ud800", 5])), 2.0, 3, 0.28]
+    for i in draw(st.sets(st.integers(0, 3), max_size=2)):
+        fields[i] = draw(_ANY)
+    return (*fields, pairs, None if consumed is None else tuple(consumed))
+
+
+@settings(max_examples=500)
+@given(_any_fields())
+@example(("s", 10**300, 3, 0.28, [("a", 10**300)], (10**300,)))
+@example(("s", 2.0, 3, 0.28, [("a", Fraction(1, 2))], None))
+def test_constructors_refuse_what_the_reader_rejects(fields):
+    """For any field values, types included, the constructors raise exactly
+    when log_from_record rejects the matching record; a log they build is
+    written as a line that the reader reads back as it."""
+    seg_id, duration, k, step, pairs, consumed = fields
+    record = {"id": seg_id, "duration": duration, "k": k, "step": step,
+              "events": [{"t": t, "w": w} for w, t in pairs]}
+    if consumed is not None:
+        record["g"] = list(consumed)
+    try:
+        read = log_from_record(record, 1)
+    except StreamError as exc:
+        assert isinstance(exc, SchemaError) or type(exc) is NonMonotonicTimeError
+        with pytest.raises(StreamError):
+            EmissionLog(seg_id, duration, k, step,
+                        tuple(TokenEvent(w, classify_surface(w), t) for w, t in pairs), consumed)
+        return
+    log = EmissionLog(seg_id, duration, k, step,
+                      tuple(TokenEvent(w, classify_surface(w), t) for w, t in pairs), consumed)
+    assert read == _as_read(log)
+    assert list(read_log_corpus([corpus_text([log])])) == [read]
+
+
+# Single faults: (where, value, whether the reader's text is the
+# constructors'), each set in a log of times and consumed source in
+# [0, 0.5], a duration of 1 s or more and k of 2 or more, where it breaks
+# one rule. where is a field, or an event's time ("t0" the first, "t-1" the
+# last), word ("w" any, "w0" the first) or g entry ("g0", "g-1", "g" any);
+# "g-len" drops the last entry. A rule only the reader words its own way
+# (a number out of range) names the same field in other words.
+_SINGLE_FAULTS = [
+    *[("id", v, True) for v in (5, None, True, "s\ud800")],
+    *[("duration", v, True) for v in (True, "4", None, 10**400, Fraction(1, 2))],
+    *[("duration", v, False) for v in (0, -1.0, math.nan, math.inf)],
+    *[("k", v, True) for v in (True, 3.0, 3.5, "3", None, 10**400)],
+    *[("k", v, False) for v in (0, -1, 0.5, math.inf)],
+    *[("step", v, True) for v in (True, "x", 10**400, 1e308)],
+    *[("step", v, False) for v in (0, math.nan, -math.inf)],
+    ("t0", False, True), ("t0", -1.0, False), ("t0", 2.0, False),
+    *[("t-1", v, True) for v in (True, 10**400, Fraction(1, 2))],
+    *[("t-1", v, False) for v in (math.nan, math.inf)],
+    ("w", "a\ud800", True), ("w", "\udcff", True), ("w", "", False), ("w", "a b", False),
+    ("w0", "<eos>", False),
+    ("g0", -1.0, True), ("g0", 0.75, True), ("g", math.nan, True),
+    *[("g-1", v, True) for v in (5.0, True, 10**400, math.inf)],
+    ("g-len", None, False),
+]
+
+
+@st.composite
+def _single_faults(draw):
+    """(id, duration, k, step, (word, time) pairs, consumed, fault) of a
+    log with one fault of _SINGLE_FAULTS set in it."""
+    n = draw(st.integers(2, 5))
+    times = sorted(draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
+    words = draw(st.lists(st.sampled_from(["a", "bb", "<eol>", "<eob>", "é"]),
+                          min_size=n, max_size=n))
+    consumed = sorted(draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
+    fields = {"id": draw(_TEXT), "duration": draw(st.floats(1.0, 4.0)),
+              "k": draw(st.integers(2, 5)), "step": draw(st.floats(0.01, 1.0))}
+    fault = where, value, _ = draw(st.sampled_from(_SINGLE_FAULTS))
+    j = {"0": 0, "-1": n - 1}.get(where[1:], draw(st.integers(0, n - 1)))
+    if where in fields:
+        fields[where] = value
+    elif where[0] == "t":
+        times[j] = value
+    elif where[0] == "w":
+        words[j] = value
+    elif where == "g-len":
+        consumed.pop()
+    else:
+        consumed[j] = value
+    return (*fields.values(), list(zip(words, times)), tuple(consumed), fault)
+
+
+@settings(max_examples=300)
+@given(_single_faults())
+def test_constructors_refuse_a_single_fault_as_the_reader_does(case):
+    """With one rule broken, the constructors and the reader both refuse the
+    log, naming the same field, and for a rule they both keep, in the same
+    words."""
+    *fields, (_, _, same_text) = case
+    seg_id, duration, k, step, pairs, consumed = fields
+    with pytest.raises(StreamError) as built:
+        EmissionLog(seg_id, duration, k, step,
+                    tuple(TokenEvent(w, classify_surface(w), t) for w, t in pairs), consumed)
+    record = {"id": seg_id, "duration": duration, "k": k, "step": step,
+              "events": [{"t": t, "w": w} for w, t in pairs], "g": list(consumed)}
+    with pytest.raises(StreamError) as read:
+        log_from_record(record, 1)
+    assert built.value.field == read.value.field
+    if same_text:
+        assert built.value.message == read.value.message
+
+
+_BOUNDARY_K = 2**1024 - 2**970 - 1  # the largest int that converts to a float
+
+
+@settings(max_examples=300)
+@given(
+    _EDGE_TEXT | st.sampled_from(["s\ud800", 5]),
+    st.lists(_ANY_WORD | _EDGE_TEXT, min_size=1, max_size=5),
+    st.floats(1e-300, 1e308) | st.sampled_from([True, 10**400, 7, 10**20]),
+    st.integers(1, 10**400) | st.sampled_from([True, 3.5, 3.0, _BOUNDARY_K]),
+    st.floats(1e-300, 1e308) | st.sampled_from([True, 2, 10**400]),
+    st.sampled_from([0.0, 0.013, 10**400, 10**308]) | st.floats(0.0, 1e308),
+    st.booleans(),
+)
+@example("s", ["a", "b"], 2.0, 10**400, 0.28, 0.0, True)
+@example("s", ["a", "b"], True, 3, 0.28, 0.0, True)
+@example("s", ["a", "b"], 2.0, True, 0.28, 0.0, True)
+@example("s", ["a", "b"], 2.0, 3.5, 0.28, 0.0, True)
+@example("s", ["a", "b"], 10**400, 3, 0.28, 0.0, True)
+@example("s\ud800", ["a", "b"], 2.0, 3, 0.28, 0.0, True)
+@example("s", ["a", "b"], 2.0, _BOUNDARY_K, 0.5, 0.0, True)
+@example("s", ["a", "b", "c"], 2.0, 3, 0.28, 10**308, True)
+def test_simulated_logs_round_trip_or_are_refused(seg_id, tokens, duration, k, step, latency,
+                                                   flush):
+    """simulate_waitk, for any reference and policy that build, gives a log
+    that write_log_corpus writes and read_log_corpus reads back as it, or
+    raises ValueError (a StreamError is one); never OverflowError."""
+    try:
+        ref = AnnotatedReference(seg_id, tuple(tokens), duration)
+        cfg = WaitKConfig(k, step, latency, flush)
+        log = simulate_waitk(ref, cfg)
+    except ValueError:
+        return
+    assert list(read_log_corpus([corpus_text([log])])) == [_as_read(log)]
+
+
+@settings(max_examples=300)
+@given(_any_fields())
+@example(("s", 10**308, 1, 10**308, [("a", 10**308), ("b", 10**308)], None))
+@example(("s", 1e308, 1, 1e308, [("a", 1e308), ("<eol>", 1e308)], (1e308, 1e308)))
+def test_no_log_that_builds_overflows_evaluate_log(fields):
+    """evaluate_log measures every log that can be built, or refuses it with
+    a StreamError (AL or a delay too large for a float, no words)."""
+    seg_id, duration, k, step, pairs, consumed = fields
+    try:
+        log = EmissionLog(seg_id, duration, k, step,
+                          tuple(TokenEvent(w, classify_surface(w), t) for w, t in pairs), consumed)
+    except StreamError:
+        return
+    try:
+        evaluate_log(log)
+    except StreamError:
+        pass

@@ -131,3 +131,22 @@ def test_config_and_reference_reject_non_finite_values(x):
             WaitKConfig(**kwargs)
     with pytest.raises(ValueError, match="finite"):
         AnnotatedReference("a", ("x",), x)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field, message",
+    [
+        ({"k": True}, "k", "expected int, got True"),
+        ({"k": 3.0}, "k", "expected int, got 3.0"),
+        ({"k": 3, "step_size": True}, "step", "expected a number, got True"),
+        ({"k": 3, "step_size": 10**400}, "step", "integer too large for a float"),
+        ({"k": 10**400}, "k", "step * k must be a finite number of seconds"),
+        ({"k": 10**308, "step_size": 10.0}, "k", "step * k must be a finite number of seconds"),
+        ({"k": 3, "compute_latency": 10**400}, "compute_latency", "integer too large for a float"),
+    ],
+)
+def test_config_refuses_a_policy_whose_log_no_corpus_holds(kwargs, field, message):
+    with pytest.raises(StreamError) as info:
+        WaitKConfig(**kwargs)
+    assert (info.value.field, info.value.message) == (field, message)
+    assert isinstance(info.value, ValueError)
