@@ -124,9 +124,14 @@ class TokenEvent:
     emit_time: float
 
     def __post_init__(self) -> None:
-        _check_event(self.surface, self.kind, self.emit_time)
-        read = classify_surface(self.surface)
+        try:
+            _check_event(self.surface, self.kind, self.emit_time)
+            read = classify_surface(self.surface)
+        except (AttributeError, TypeError):
+            _typed_event(self.surface, self.emit_time)
+            raise
         if read is not self.kind:
+            _typed(self.kind, (TokenKind,), "events")
             raise StreamError(
                 f"{self.surface!r} of kind {self.kind.value} is read back as kind {read.value}",
                 None, "events",
@@ -161,12 +166,16 @@ def _check_stream(pairs: Iterable[tuple[str, float]]) -> None:
     the first pair whose time decreases or that TokenEvent does not hold."""
     last_t = -math.inf
     for surface, t in pairs:
-        if t < last_t:
-            raise NonMonotonicTimeError(
-                f"emission time decreases: {t} after {last_t}", None, "events"
-            )
-        last_t = t
-        _check_event(surface, classify_surface(surface), t)
+        try:
+            if t < last_t:
+                raise NonMonotonicTimeError(
+                    f"emission time decreases: {t} after {last_t}", None, "events"
+                )
+            last_t = t
+            _check_event(surface, classify_surface(surface), t)
+        except (AttributeError, TypeError):
+            _typed_event(surface, t)
+            raise
 
 
 def _events(pairs: Iterable[tuple[str, float]]) -> tuple[TokenEvent, ...]:
@@ -300,6 +309,14 @@ def _check_utf8(text: str, field: str, event: int | None = None) -> None:
         raise StreamError(f"{where}not UTF-8 text: {text!r}", None, field)
 
 
+def _typed_event(surface: str, t: float) -> None:
+    """Refuse a token whose surface is not a str or whose time is not a
+    number: the values on which the token rules raised AttributeError or
+    TypeError."""
+    _typed(surface, (str,), "events")
+    _typed(t, _NUMBER, "events")
+
+
 def _event_time(j: int, t, event: dict) -> float:
     """Event j's time t as a float; event is that event as a record holds it."""
     if not _is_number(t):
@@ -323,6 +340,53 @@ def _check_consumed(consumed: Iterable[float], duration: float) -> None:
                 f"[0, {duration!r}] that never decrease", None, "g",
             )
         last = x
+
+
+# The rules of the fields of a reference line, each written once:
+# AnnotatedReference keeps them all, and read_annotated_refs calls those of
+# the id and of UTF-8 text, so a reference that can be built is one whose
+# line the reader reads back as it.
+
+
+def _check_ref(segment_id: str, tokens: tuple[str, ...], duration: float) -> None:
+    """Raise what AnnotatedReference raises for these fields: a bad id, a
+    duration that is not a number a float holds, finite and > 0, or bad
+    tokens, in that order."""
+    _check_ref_id(segment_id)
+    where = f"segment {segment_id}: "
+    if _is_number(duration) and not 0 < duration < math.inf:
+        raise StreamError(f"{where}duration must be finite and > 0", None, "duration")
+    _as_float(duration, "duration")
+    _check_ref_tokens(tokens, where)
+
+
+def _check_ref_id(segment_id: str) -> None:
+    """Refuse an id that is not a str or not UTF-8 text, or that holds a
+    tab or a line break, either of which splits the line."""
+    if type(segment_id) is str and segment_id.isprintable():  # nearly every id
+        return
+    _typed(segment_id, (str,), "id")
+    _check_utf8(segment_id, "id")
+    if "\t" in segment_id or "\n" in segment_id or "\r" in segment_id:
+        raise StreamError(f"a tab or line break splits the line: {segment_id!r}", None, "id")
+
+
+def _check_ref_tokens(tokens: tuple[str, ...], where: str = "") -> None:
+    """Refuse tokens but a non-empty tuple of str that " ".join(tokens).split()
+    gives back, as UTF-8 text; where starts the text for an empty tuple."""
+    _typed(tokens, (tuple,), "tokens")
+    if not tokens:
+        raise StreamError(f"{where}no tokens", None, "tokens")
+    try:
+        text = " ".join(tokens)
+    except TypeError:
+        for token in tokens:
+            _typed(token, (str,), "tokens")
+        raise
+    read = text.split()
+    if read != [*tokens]:
+        raise StreamError(f"{tokens!r} is read back as {tuple(read)!r}", None, "tokens")
+    _check_utf8(text, "tokens")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ from .core import (
     _check_columns,
     _check_consumed,
     _check_delay_k,
+    _check_ref_id,
+    _check_ref_tokens,
     _check_utf8,
     _closed_offset,
     _event_time,
@@ -301,49 +303,37 @@ def _read_ref_fields(source: Iterable[str], start: int) -> Iterator[tuple]:
             raise SchemaError(
                 f"expected 3 tab-separated fields, got {len(parts)}", lineno, None
             )
-        yield _ref_fields(*parts, lineno)
-
-
-def _ref_fields(
-    seg_id: str, dur_text: str, token_text: str, lineno: int | None
-) -> tuple[str, tuple[str, ...], float]:
-    """(id, tokens, duration), the fields of AnnotatedReference, of the three
-    fields of a reference line."""
-    if not _utf8(seg_id):
-        raise SchemaError(f"not UTF-8 text: {seg_id!r}", lineno, "id")
-    try:
-        duration = float(dur_text)
-    except ValueError as exc:
-        raise SchemaError(f"bad duration {dur_text!r}", lineno, "duration") from exc
-    if not math.isfinite(duration):
-        raise SchemaError(f"non-finite duration {dur_text!r}", lineno, "duration")
-    if duration <= 0:
-        raise NonPositiveDurationError("duration must be > 0", lineno, "duration")
-    if not _utf8(token_text):
-        raise SchemaError(f"not UTF-8 text: {token_text!r}", lineno, "tokens")
-    tokens = tuple(token_text.split())
-    if not tokens:
-        raise SchemaError("no tokens", lineno, "tokens")
-    return seg_id, tokens, duration
+        seg_id, dur_text, token_text = parts
+        try:
+            _check_ref_id(seg_id)
+            try:
+                duration = float(dur_text)
+            except ValueError:
+                raise SchemaError(f"bad duration {dur_text!r}", None, "duration") from None
+            if not math.isfinite(duration):
+                raise SchemaError(f"non-finite duration {dur_text!r}", None, "duration")
+            if duration <= 0:
+                raise NonPositiveDurationError("duration must be > 0", None, "duration")
+            _check_utf8(token_text, "tokens")
+            tokens = tuple(token_text.split())
+            if not tokens:  # what str.split() gives keeps every other token rule
+                _check_ref_tokens(tokens)
+        except StreamError as exc:
+            kind = type(exc) if isinstance(exc, SchemaError) else SchemaError
+            raise kind(exc.message, lineno, exc.field) from None
+        yield seg_id, tokens, duration
 
 
 def write_annotated_refs(refs, out: IO[str]) -> None:
-    """Write each reference as one line. A reference the reader would
-    reject, or read back as another, raises a SchemaError naming the field,
-    and nothing of it is written."""
+    """Write each reference as one line, which read_annotated_refs reads
+    back as the reference (an int duration as a float). Nothing is checked:
+    AnnotatedReference refuses every reference whose line the reader would
+    reject or read back as another. The fields are written as their base
+    types (str, int or float) write them."""
     for ref in refs:
-        fields = (f"{ref.segment_id}", f"{ref.duration}", " ".join(ref.tokens))
-        # A tab splits the line's fields; a line break, as a file is read
-        # (universal newlines), the line.
-        for name, text in (("id", fields[0]), ("tokens", fields[2])):
-            if {"\t", "\n", "\r"}.intersection(text):
-                raise SchemaError(f"a tab or line break splits the line: {text!r}", None, name)
-        back = _ref_fields(*fields, None)
-        written = (ref.segment_id, ref.tokens, ref.duration)
-        for name, value, read in zip(("id", "tokens", "duration"), written, back):
-            if read != value:
-                raise SchemaError(f"{value!r} is read back as {read!r}", None, name)
-        out.write("\t".join(fields) + "\n")
+        duration = ref.duration
+        number = float.__repr__ if isinstance(duration, float) else int.__repr__
+        out.write("\t".join((ref.segment_id, number(duration), " ".join(ref.tokens))) + "\n")
 
 
 # SRT times have two hour digits, so they end before 100 h: format_srt_time

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from .core import (
     EmissionLog,
-    StreamError,
     _as_float,
     _built_log,
     _check_columns,
     _check_delay_k,
+    _check_ref,
     _is_number,
     _typed,
 )
@@ -63,19 +63,21 @@ class WaitKConfig:
 @dataclass(frozen=True)
 class AnnotatedReference:
     """Reference token sequence (with inline break symbols) and its audio
-    duration in seconds."""
+    duration in seconds.
+
+    A reference holds only what a reference line holds, so
+    write_annotated_refs writes every reference as a line that
+    read_annotated_refs reads back as it (an int duration as a float). A
+    refused value raises StreamError naming its field (``id``,
+    ``duration``, ``tokens``).
+    """
 
     segment_id: str
     tokens: tuple[str, ...]
     duration: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.duration < math.inf:
-            raise StreamError(
-                f"segment {self.segment_id}: duration must be finite and > 0"
-            )
-        if not self.tokens:
-            raise StreamError(f"segment {self.segment_id}: no tokens")
+        _check_ref(self.segment_id, self.tokens, self.duration)
 
 
 def simulate_waitk(ref: AnnotatedReference, cfg: WaitKConfig) -> EmissionLog:
@@ -85,9 +87,10 @@ def simulate_waitk(ref: AnnotatedReference, cfg: WaitKConfig) -> EmissionLog:
     source and is emitted at g(i) + i * compute_latency. After the source is
     exhausted, tokens keep g = D and are spaced by compute_latency alone
     (the greedy flush). Break tokens consume a policy step like words: the
-    decoder generates them as ordinary vocabulary items. A reference whose
-    log the constructors refuse (a bool or too large a duration, an id that
-    is not UTF-8 text, <eos> before the last token) raises their StreamError.
+    decoder generates them as ordinary vocabulary items. A reference's id,
+    duration and tokens are always a log's, so it raises the constructors'
+    StreamError for two references alone: one with <eos> before its last
+    token, and one whose emission times overflow a float under cfg.
     """
     *columns, consumed = _emission_columns(ref.segment_id, ref.tokens, ref.duration, cfg)
     return _built_log(*columns, tuple(consumed))

@@ -142,6 +142,23 @@ def test_directly_built_objects_keep_their_rules():
         ))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TokenEvent(5, TokenKind.WORD, 1.0), "expected str, got 5"),
+        (lambda: TokenEvent("a", "word", 1.0), "expected TokenKind, got 'word'"),
+        (lambda: TokenEvent("a", TokenKind.WORD, None), "expected a number, got None"),
+        (lambda: parse_token_stream([(5, 1.0)]), "expected str, got 5"),
+        (lambda: parse_token_stream([("a", None)]), "expected a number, got None"),
+    ],
+    ids=["int-surface", "str-kind", "none-time", "parsed-int-surface", "parsed-none-time"],
+)
+def test_a_token_of_the_wrong_type_names_its_field(build, message):
+    with pytest.raises(StreamError) as info:
+        build()
+    assert (type(info.value), info.value.field, str(info.value)) == (StreamError, "events", message)
+
+
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 

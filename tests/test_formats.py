@@ -680,51 +680,133 @@ def _read_refs(text):
 
 
 _REF_TEXT = st.text(st.sampled_from("ab <>\t\n\r\x0b\u2028é\ud800"), max_size=4)
+# Durations of any type: a bool, an int no float equals, one too large for a
+# float, and floats that are not finite or not > 0.
+_ANY_DURATION = (
+    st.floats(1e-300, 1e300) | st.floats()
+    | st.sampled_from([True, False, 0, 2, 5, 0.1, 10**23, 10**400, math.nan])
+)
 
 
 @st.composite
-def _refs(draw):
+def _ref_fields(draw):
+    """(id, tokens, duration) of any type: the tokens a tuple or a list."""
     tokens = draw(st.lists(
         _REF_TEXT | st.sampled_from(["<eol>", "<eob>", "word"]), min_size=1, max_size=4,
     ))
-    return AnnotatedReference(
-        draw(_REF_TEXT | st.sampled_from([5, None])), tuple(tokens),
-        draw(st.floats(1e-300, 1e300) | st.sampled_from([True, 2, 0.1, 10**400])),
+    return (
+        draw(_REF_TEXT | st.sampled_from([5, None])),
+        draw(st.sampled_from([tuple, list]))(tokens),
+        draw(_ANY_DURATION),
     )
 
 
+def _ref_as_read(seg_id, tokens, duration):
+    """The fields of a reference as the reader reads its line back: an int
+    or float duration that a float holds as that float."""
+    if type(duration) in (int, float) and abs(duration) < 10**309:
+        duration = float(duration)
+    return seg_id, tokens, duration
+
+
 @settings(max_examples=300)
-@given(_refs())
-@example(AnnotatedReference("a\tb", ("x",), 1.0))
-@example(AnnotatedReference("a\nb", ("x",), 1.0))
-@example(AnnotatedReference("a\rb", ("x",), 1.0))
-@example(AnnotatedReference(5, ("x",), 1.0))
-@example(AnnotatedReference("s", ("x y",), 1.0))
-@example(AnnotatedReference("s", ("", "x"), 1.0))
-@example(AnnotatedReference("s", ("x",), True))
-@example(AnnotatedReference("s\ud800", ("x",), 1.0))
-def test_refs_round_trip_or_are_refused(ref):
-    """read(write(ref)) == [ref] for every reference the writer accepts. A
-    reference it refuses is one that the reader rejects or reads back as
-    another; on a line that no tab or line break splits, the reader names
-    the writer's field."""
-    line = f"{ref.segment_id}\t{ref.duration}\t{' '.join(ref.tokens)}\n"
+@given(_ref_fields())
+@example(("a\tb", ("x",), 1.0))
+@example(("a\nb", ("x",), 1.0))
+@example(("a\rb", ("x",), 1.0))
+@example((5, ("x",), 1.0))
+@example(("s", ("x y",), 1.0))
+@example(("s", ("", "x"), 1.0))
+@example(("s", ("x",), True))
+@example(("s\ud800", ("x",), 1.0))
+@example(("s", ("x",), 10**23))
+@example(("s", ["x"], 1.0))
+@example((5, ("",), 1.0))
+def test_refs_round_trip_or_are_refused(fields):
+    """AnnotatedReference refuses exactly the fields whose line the reader
+    rejects or reads back as another reference (a duration compared as the
+    float the reader makes), raising a StreamError that names 'id',
+    'duration' or 'tokens'. On a line that no tab or line break splits, the
+    reader names that field, unless the id is not a str, which the line
+    cannot show. Every reference that builds is written as that line, and
+    read(write(ref)) == [ref]."""
+    seg_id, tokens, duration = fields
+    line = f"{seg_id}\t{duration}\t{' '.join(tokens)}\n"
     split = line[:-1].count("\t") != 2 or "\n" in line[:-1] or "\r" in line
-    out = io.StringIO()
     try:
-        write_annotated_refs([ref], out)
-    except SchemaError as exc:
-        assert out.getvalue() == ""
+        back = [(r.segment_id, r.tokens, r.duration) for r in _read_refs(line)]
+    except SchemaError as read:
+        back = read
+    try:
+        ref = AnnotatedReference(*fields)
+    except StreamError as exc:
         assert exc.line is None and exc.field in ("id", "tokens", "duration")
-        try:
-            back = _read_refs(line)
-        except SchemaError as read:
-            assert split or read.field == exc.field
+        if isinstance(back, SchemaError):
+            assert split or back.field == exc.field or not isinstance(seg_id, str)
         else:
-            assert back != [ref]
+            assert back != [_ref_as_read(*fields)]
     else:
+        assert back == [_ref_as_read(*fields)]
+        out = io.StringIO()
+        write_annotated_refs([ref], out)
         assert out.getvalue() == line
-        assert _read_refs(line) == [ref]
+        assert _read_refs(line) == [dataclasses.replace(ref, duration=float(duration))]
+
+
+@pytest.mark.parametrize(
+    "fields, field, message",
+    [
+        (("s\ud800", ("a",), 1.0), "id", "not UTF-8 text: 's\\ud800'"),
+        ((5, ("a",), 1.0), "id", "expected str, got 5"),
+        (("s\tx", ("a",), 1.0), "id", "a tab or line break splits the line: 's\\tx'"),
+        (("s", ("a",), True), "duration", "expected a number, got True"),
+        (("s", ("a",), 10**400), "duration", "integer too large for a float"),
+        (("s", ("a",), math.nan), "duration", "segment s: duration must be finite and > 0"),
+        (("s", ("a b",), 1.0), "tokens", "('a b',) is read back as ('a', 'b')"),
+        (("s", ("",), 1.0), "tokens", "('',) is read back as ()"),
+        (("s", ["a"], 1.0), "tokens", "expected tuple, got ['a']"),
+        (("s", ("a", 5), 1.0), "tokens", "expected str, got 5"),
+        (("s", ("a", "\ud800"), 1.0), "tokens", "not UTF-8 text: 'a \\ud800'"),
+    ],
+    ids=["surrogate-id", "int-id", "tab-id", "bool-duration", "huge-duration", "nan-duration",
+         "spaced-token", "empty-token", "list-tokens", "int-token", "surrogate-token"],
+)
+def test_reference_refuses_what_no_line_holds(fields, field, message):
+    with pytest.raises(StreamError) as info:
+        AnnotatedReference(*fields)
+    assert (info.value.line, info.value.field, str(info.value)) == (None, field, message)
+
+
+class _Id(str):
+    def __format__(self, spec):
+        return "other"
+
+    def __str__(self):
+        return "other"
+
+
+class _Duration(float):
+    def __format__(self, spec):
+        return "9.0"
+
+    def __repr__(self):
+        return "9.0"
+
+
+def test_writer_renders_the_base_types():
+    # A subclass's own str, repr or format does not change the line.
+    out = io.StringIO()
+    write_annotated_refs([AnnotatedReference(_Id("s"), ("a",), _Duration(2.5))], out)
+    assert out.getvalue() == "s\t2.5\ta\n"
+
+
+def test_reader_refuses_an_id_holding_a_line_break():
+    # A list of lines holds what a file read with universal newlines cannot.
+    for text in ["s\r1\t1.0\ta\n", "s\n1\t1.0\ta"]:
+        with pytest.raises(SchemaError) as info:
+            list(read_annotated_refs([text]))
+        assert (info.value.line, info.value.field) == (1, "id")
+        assert info.value.message == f"a tab or line break splits the line: {text[:3]!r}"
 
 
 @pytest.mark.parametrize(
