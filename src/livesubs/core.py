@@ -363,8 +363,6 @@ def _check_ref(segment_id: str, tokens: tuple[str, ...], duration: float) -> Non
 def _check_ref_id(segment_id: str) -> None:
     """Refuse an id that is not a str or not UTF-8 text, or that holds a
     tab or a line break, either of which splits the line."""
-    if type(segment_id) is str and segment_id.isprintable():  # nearly every id
-        return
     _typed(segment_id, (str,), "id")
     _check_utf8(segment_id, "id")
     if "\t" in segment_id or "\n" in segment_id or "\r" in segment_id:
