@@ -235,8 +235,9 @@ def cmd_simulate(args) -> int:
     def simulate_line(fields) -> tuple[str, str]:
         """(segment id, corpus line) of a reference's checked fields: the line
         write_log_corpus writes for simulate_waitk(ref, cfg), rendered from
-        the columns once _check_columns has passed them, or the
-        constructors' error, which names field 'tokens'."""
+        the columns that _check_columns's fast pass accepts, or the error
+        the constructors raise when it falls back to them, which
+        _each_record gives field 'tokens'."""
         return fields[0], _record_line(*_emission_columns(*fields, cfg))
 
     first_line: dict[str, int] = {}

@@ -105,13 +105,23 @@ def _unbroken(text: str) -> bool:
 
 def _check_event(surface: str, kind: TokenKind, t: float) -> None:
     """Raise for a token that TokenEvent does not hold: an empty surface, a
-    word holding whitespace, a time that is not finite or is below 0."""
+    word holding whitespace, a time that is not finite or is below 0, a kind
+    other than the one its surface reads as, and last, so that a surface
+    another rule refuses keeps its text, a surface that is not a str (bytes
+    pass the other rules)."""
     if not surface:
         raise EmptySurfaceError("token surface is empty", None, "events")
     if kind is TokenKind.WORD and not _unbroken(surface):
         raise StreamError(f"word surface contains whitespace: {surface!r}", None, "events")
     if not 0 <= t < math.inf:
         raise StreamError(f"emission time must be finite and >= 0, got {t}", None, "events")
+    read = classify_surface(surface)
+    if read is not kind:
+        _typed(kind, (TokenKind,), "events")
+        raise StreamError(
+            f"{surface!r} of kind {kind.value} is read back as kind {read.value}", None, "events"
+        )
+    _typed(surface, (str,), "events")
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,16 +136,9 @@ class TokenEvent:
     def __post_init__(self) -> None:
         try:
             _check_event(self.surface, self.kind, self.emit_time)
-            read = classify_surface(self.surface)
         except (AttributeError, TypeError):
             _typed_event(self.surface, self.emit_time)
             raise
-        if read is not self.kind:
-            _typed(self.kind, (TokenKind,), "events")
-            raise StreamError(
-                f"{self.surface!r} of kind {self.kind.value} is read back as kind {read.value}",
-                None, "events",
-            )
 
     @property
     def is_word(self) -> bool:
@@ -154,18 +157,20 @@ def parse_token_stream(
     """Classify raw (surface, emit_time) pairs into token events.
 
     Order and timestamps are preserved. Raises NonMonotonicTimeError if a
-    timestamp decreases, EmptySurfaceError on an empty surface.
+    timestamp decreases, EmptySurfaceError on an empty surface, and a
+    StreamError naming field 'events' for the first other pair TokenEvent
+    does not hold, or for an item that does not unpack into a pair.
     """
     pairs = list(raw)
-    _check_stream(pairs)
-    return _events(pairs)
-
-
-def _check_stream(pairs: Iterable[tuple[str, float]]) -> None:
-    """Raise what parse_token_stream raises for these (surface, time) pairs:
-    the first pair whose time decreases or that TokenEvent does not hold."""
     last_t = -math.inf
-    for surface, t in pairs:
+    for i, pair in enumerate(pairs):
+        try:
+            surface, t = pair
+        except (TypeError, ValueError):
+            raise StreamError(
+                f"expected a (surface, time) pair, got {pair!r}", None, "events"
+            ) from None
+        pairs[i] = surface, t  # pair may be an iterator, which unpacks once
         try:
             if t < last_t:
                 raise NonMonotonicTimeError(
@@ -176,6 +181,7 @@ def _check_stream(pairs: Iterable[tuple[str, float]]) -> None:
         except (AttributeError, TypeError):
             _typed_event(surface, t)
             raise
+    return _events(pairs)
 
 
 def _events(pairs: Iterable[tuple[str, float]]) -> tuple[TokenEvent, ...]:
@@ -348,18 +354,6 @@ def _check_consumed(consumed: Iterable[float], duration: float) -> None:
 # line the reader reads back as it.
 
 
-def _check_ref(segment_id: str, tokens: tuple[str, ...], duration: float) -> None:
-    """Raise what AnnotatedReference raises for these fields: a bad id, a
-    duration that is not a number a float holds, finite and > 0, or bad
-    tokens, in that order."""
-    _check_ref_id(segment_id)
-    where = f"segment {segment_id}: "
-    if _is_number(duration) and not 0 < duration < math.inf:
-        raise StreamError(f"{where}duration must be finite and > 0", None, "duration")
-    _as_float(duration, "duration")
-    _check_ref_tokens(tokens, where)
-
-
 def _check_ref_id(segment_id: str) -> None:
     """Refuse an id that is not a str or not UTF-8 text, or that holds a
     tab or a line break, either of which splits the line."""
@@ -410,11 +404,44 @@ class EmissionLog:
     consumed_source: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        events = self.events
-        _check_log(
-            self.segment_id, self.source_duration, self.wait_k, self.step_size,
-            [ev.surface for ev in events], [ev.emit_time for ev in events], self.consumed_source,
-        )
+        # The columns first: an event that is not a TokenEvent raises AttributeError.
+        # Then each rule in turn; a number out of range fails before its type is checked.
+        surfaces = [ev.surface for ev in self.events]
+        times = [ev.emit_time for ev in self.events]
+        segment_id, wait_k, step_size = self.segment_id, self.wait_k, self.step_size
+        source_duration, consumed_source = self.source_duration, self.consumed_source
+        _typed(segment_id, (str,), "id")
+        _check_utf8(segment_id, "id")
+        if _is_number(source_duration) and not 0 < source_duration < math.inf:
+            raise StreamError(
+                f"source_duration must be finite and > 0, got {source_duration}", None, "duration"
+            )
+        duration = _as_float(source_duration, "duration")
+        if _is_number(wait_k) and not 1 <= wait_k < math.inf:
+            raise StreamError(f"wait_k must be finite and >= 1, got {wait_k}", None, "k")
+        _typed(wait_k, (int,), "k")
+        if _is_number(step_size) and not 0 < step_size < math.inf:
+            raise StreamError(f"step_size must be finite and > 0, got {step_size}", None, "step")
+        _as_float(step_size, "step")
+        _check_delay_k(wait_k, step_size)
+        where = f"segment {segment_id}: "
+        last_t = -math.inf
+        last = len(times) - 1
+        for i, (surface, t) in enumerate(zip(surfaces, times)):
+            if t < last_t:
+                raise NonMonotonicTimeError(
+                    f"{where}emission time decreases at event {i}", None, "events"
+                )
+            last_t = t
+            if type(t) is not float:
+                _event_time(i, t, {"t": t, "w": surface})
+            _check_utf8(surface, "events", i)
+            if surface == EOS_SURFACE and i != last:
+                raise StreamError(f"{where}<eos> is not the last event", None, "events")
+        if consumed_source is not None:
+            if len(consumed_source) != len(times):
+                raise StreamError(f"{where}consumed_source length mismatch", None, "g")
+            _check_consumed(consumed_source, duration)
 
     @property
     def delay_k(self) -> float:
@@ -427,51 +454,6 @@ class EmissionLog:
     @property
     def end_time(self) -> float:
         return self.events[-1].emit_time if self.events else 0.0
-
-
-def _check_log(
-    segment_id: str,
-    source_duration: float,
-    wait_k: int,
-    step_size: float,
-    surfaces: Sequence[str],
-    times: Sequence[float],
-    consumed_source: Sequence[float] | None,
-) -> None:
-    """Raise what EmissionLog raises for these fields and the (surface,
-    time) columns of its events, each of which TokenEvent has passed. A
-    number out of range fails that rule before its type is checked."""
-    _typed(segment_id, (str,), "id")
-    _check_utf8(segment_id, "id")
-    if _is_number(source_duration) and not 0 < source_duration < math.inf:
-        raise StreamError(
-            f"source_duration must be finite and > 0, got {source_duration}", None, "duration"
-        )
-    duration = _as_float(source_duration, "duration")
-    if _is_number(wait_k) and not 1 <= wait_k < math.inf:
-        raise StreamError(f"wait_k must be finite and >= 1, got {wait_k}", None, "k")
-    _typed(wait_k, (int,), "k")
-    if _is_number(step_size) and not 0 < step_size < math.inf:
-        raise StreamError(f"step_size must be finite and > 0, got {step_size}", None, "step")
-    _as_float(step_size, "step")
-    _check_delay_k(wait_k, step_size)
-    last_t = -math.inf
-    last = len(times) - 1
-    for i, (surface, t) in enumerate(zip(surfaces, times)):
-        if t < last_t:
-            raise NonMonotonicTimeError(
-                f"segment {segment_id}: emission time decreases at event {i}", None, "events"
-            )
-        last_t = t
-        if type(t) is not float:
-            _event_time(i, t, {"t": t, "w": surface})
-        _check_utf8(surface, "events", i)
-        if surface == EOS_SURFACE and i != last:
-            raise StreamError(f"segment {segment_id}: <eos> is not the last event", None, "events")
-    if consumed_source is not None:
-        if len(consumed_source) != len(times):
-            raise StreamError(f"segment {segment_id}: consumed_source length mismatch", None, "g")
-        _check_consumed(consumed_source, duration)
 
 
 _FLOATS = {float}
@@ -505,8 +487,9 @@ def _check_columns(
 
     One pass over the columns tests every rule at once, on numbers that are
     exact floats (k an exact int). Only when that test fails, a number of
-    another type included, are the rules walked in the constructors' order,
-    to raise the first one broken.
+    another type included, is that expression evaluated, to raise the first
+    rule broken. Columns it then accepts (an int duration or step, which
+    simulate_waitk may be given) build a log that is dropped.
     """
     text = "".join(surfaces)
     if (
@@ -528,9 +511,9 @@ def _check_columns(
         )
     ):
         return
-    _check_stream(zip(surfaces, times))
-    _check_log(
-        segment_id, source_duration, wait_k, step_size, surfaces, times, consumed_source
+    EmissionLog(
+        segment_id, source_duration, wait_k, step_size,
+        parse_token_stream(zip(surfaces, times)), consumed_source,
     )
 
 

@@ -243,9 +243,10 @@ def _record_line(
     consumed source) columns: json.dumps(log_to_record(log),
     ensure_ascii=False, allow_nan=False) plus a newline, laid out from a
     template, which is several times faster. The columns are those of a
-    log or ones _check_columns has passed, so the line is one the reader
-    accepts; nothing is checked here. consumed may be times itself, whose
-    texts are then written twice but made once."""
+    log or ones _check_columns has passed (by its fast pass or by building
+    the log), so the line is one the reader accepts; nothing is checked
+    here. consumed may be times itself, whose texts are then written twice
+    but made once."""
     t_texts = _json_numbers(times)
     # '{"t": t, "w": w}' per event, joined by ", ".
     pairs = map(', "w": '.join, zip(t_texts, map(encode_basestring, surfaces)))

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 from .core import (
     EmissionLog,
+    StreamError,
     _as_float,
     _built_log,
     _check_columns,
     _check_delay_k,
-    _check_ref,
+    _check_ref_id,
+    _check_ref_tokens,
     _is_number,
     _typed,
 )
@@ -77,7 +79,14 @@ class AnnotatedReference:
     duration: float
 
     def __post_init__(self) -> None:
-        _check_ref(self.segment_id, self.tokens, self.duration)
+        """Refuse a bad id, a duration that is not a number a float holds,
+        finite and > 0, or bad tokens, in that order."""
+        _check_ref_id(self.segment_id)
+        where = f"segment {self.segment_id}: "
+        if _is_number(self.duration) and not 0 < self.duration < math.inf:
+            raise StreamError(f"{where}duration must be finite and > 0", None, "duration")
+        _as_float(self.duration, "duration")
+        _check_ref_tokens(self.tokens, where)
 
 
 def simulate_waitk(ref: AnnotatedReference, cfg: WaitKConfig) -> EmissionLog:
@@ -99,11 +108,12 @@ def simulate_waitk(ref: AnnotatedReference, cfg: WaitKConfig) -> EmissionLog:
 def _emission_columns(segment_id: str, tokens: tuple, d: float, cfg: WaitKConfig) -> tuple:
     """(id, duration, k, step, tokens, emission times, consumed source) of
     simulate_waitk's log of the reference (segment_id, tokens, d), once
-    _check_columns has passed them: what the constructors would raise is
-    raised. With no compute latency t + i * 0.0 is t, so the times are the
-    paces, or with the flush the consumed-source list itself. k and the
-    latency are taken as floats, which they fit (WaitKConfig), so that no
-    sum or product of them overflows an int's conversion."""
+    _check_columns has passed them: columns its fast pass refuses go
+    through the constructors, so their error is raised. With no compute
+    latency t + i * 0.0 is t, so the times are the paces, or with the flush
+    the consumed-source list itself. k and the latency are taken as floats,
+    which they fit (WaitKConfig), so that no sum or product of them
+    overflows an int's conversion."""
     k, step, latency = float(cfg.k), cfg.step_size, float(cfg.compute_latency)
     paces = [(k + i) * step for i in range(len(tokens))]
     consumed = [pace if pace < d else d for pace in paces]  # min(d, pace)

@@ -303,6 +303,49 @@ def test_replay_builds_one_log(logs_file, monkeypatch, capsys):
     assert len(built) == 1
 
 
+@pytest.fixture()
+def flushed_logs_file(tmp_path):
+    """A corpus in which every segment ends in the flush at g = D."""
+    refs = tmp_path / "flushed.tsv"
+    with open(refs, "w", encoding="utf-8") as f:
+        write_annotated_refs(make_refs(30, seed=12, flush_fraction=1.0), f)
+    out = tmp_path / "flushed.jsonl"
+    assert main(["simulate", str(refs), "--k", "3", "--out", str(out)]) == 0
+    return out
+
+
+def test_export_srt_of_flushed_segments_builds_no_token_objects(
+    tmp_path, flushed_logs_file, monkeypatch
+):
+    test_export_srt_builds_no_token_objects(tmp_path, flushed_logs_file, monkeypatch)
+
+
+@pytest.mark.parametrize("corpus", ["logs_file", "flushed_logs_file"])
+def test_valid_records_pass_the_fast_checks(tmp_path, corpus, request, monkeypatch, capsys):
+    """evaluate and replay build the logs of valid records without the
+    constructors: _check_columns' fast pass accepts every record, so none
+    falls back to building a log through them."""
+    logs = request.getfixturevalue(corpus)
+    last = json.loads(logs.read_text(encoding="utf-8").splitlines()[-1])["id"]
+    report = tmp_path / "report.json"
+    capsys.readouterr()  # what simulate printed
+
+    def run():
+        assert main(["evaluate", str(logs), "--per-segment", "--out", str(report)]) == 0
+        assert main(["replay", str(logs), "--segment", last, "--speed", "0"]) == 0
+        return report.read_bytes(), capsys.readouterr()
+
+    expected = run()
+
+    def built(*args, **kwargs):
+        raise AssertionError("a valid record went through the constructors")
+
+    monkeypatch.setattr(core, "parse_token_stream", built)
+    monkeypatch.setattr(TokenEvent, "__post_init__", built)
+    monkeypatch.setattr(EmissionLog, "__post_init__", built)
+    assert run() == expected
+
+
 def test_replay_rejects_a_bad_record_before_the_segment(tmp_path, logs_file, capsys):
     lines = logs_file.read_text(encoding="utf-8").splitlines(keepends=True)
     record = json.loads(lines[2])

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from livesubs import (
     extract_blocks,
     extract_lines,
     parse_token_stream,
+    read_log_corpus,
+    write_log_corpus,
 )
 
 
@@ -157,6 +161,52 @@ def test_a_token_of_the_wrong_type_names_its_field(build, message):
     with pytest.raises(StreamError) as info:
         build()
     assert (type(info.value), info.value.field, str(info.value)) == (StreamError, "events", message)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TokenEvent(b"a", TokenKind.WORD, 0.5),
+        lambda: parse_token_stream([(b"a", 0.5)]),
+        lambda: parse_token_stream([("b", 0.25), (b"a", 0.5)]),
+    ],
+    ids=["event", "parsed", "parsed-second"],
+)
+def test_a_surface_that_is_not_a_str_is_refused(build):
+    """bytes pass every other token rule, and no corpus line holds them."""
+    with pytest.raises(StreamError) as info:
+        build()
+    assert (type(info.value), info.value.field, str(info.value)) == (
+        StreamError, "events", "expected str, got b'a'"
+    )
+
+
+def test_a_str_subclass_surface_builds_and_writes_as_its_text():
+    class Word(str):
+        pass
+
+    log = EmissionLog("s", 1.0, 3, events=(
+        TokenEvent(Word("a"), TokenKind.WORD, 0.25), *parse_token_stream([(Word("b"), 0.5)]),
+    ))
+    out = io.StringIO()
+    write_log_corpus([log], out)
+    assert out.getvalue().count('"w": "a"}, {"t": 0.5, "w": "b"}') == 1
+    assert list(read_log_corpus(io.StringIO(out.getvalue()))) == [log]
+
+
+@pytest.mark.parametrize("item", [("a",), ("a", 1.0, 2), 5, None], ids=repr)
+def test_an_item_that_is_not_a_pair_names_its_field(item):
+    with pytest.raises(StreamError) as info:
+        parse_token_stream([("a", 0.5), item])
+    assert (type(info.value), info.value.field, str(info.value)) == (
+        StreamError, "events", f"expected a (surface, time) pair, got {item!r}"
+    )
+
+
+def test_a_pair_is_read_once():
+    assert parse_token_stream([iter(("a", 0.5)), ["b", 1.0]]) == parse_token_stream(
+        [("a", 0.5), ("b", 1.0)]
+    )
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
