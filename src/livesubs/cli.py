@@ -358,7 +358,8 @@ _UNSAFE_ID_CHARS = {c for c in ("/", os.sep, os.altsep, "\0") if c}
 
 
 def _write_file(name: str, data: bytes, dir_fd: int) -> None:
-    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC
+    # A name that is a symbolic link is refused (ELOOP): it may lead out of --out.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC | os.O_NOFOLLOW
     fd = os.open(name, flags, 0o666, dir_fd=dir_fd)
     try:
         view = memoryview(data)

@@ -23,6 +23,8 @@ __all__ = [
     "SubtitleLine",
     "SubtitleBlock",
     "StreamError",
+    "SchemaError",
+    "NonPositiveDurationError",
     "NonMonotonicTimeError",
     "EmptySurfaceError",
     "parse_token_stream",
@@ -59,6 +61,18 @@ class StreamError(ValueError):
         if self.field is not None:
             where += f", field {self.field!r}"
         return f"{where}: {self.message}"
+
+
+class SchemaError(StreamError):
+    """A corpus record does not match the interchange schema."""
+
+    _unlocated = "record"
+
+
+class NonPositiveDurationError(SchemaError):
+    """A duration is 0 or below, in a record or a constructor."""
+
+    _unlocated = ""
 
 
 class NonMonotonicTimeError(StreamError):
@@ -173,9 +187,7 @@ def parse_token_stream(
         pairs[i] = surface, t  # pair may be an iterator, which unpacks once
         try:
             if t < last_t:
-                raise NonMonotonicTimeError(
-                    f"emission time decreases: {t} after {last_t}", None, "events"
-                )
+                raise _decreasing(t, last_t)
             last_t = t
             _check_event(surface, classify_surface(surface), t)
         except (AttributeError, TypeError):
@@ -248,11 +260,9 @@ def _joined_length(lengths: Sequence[int]) -> int:
 
 
 def delay_k_seconds(wait_k: int, step_size: float = 0.280) -> float:
-    """Conservative stand-in for the unknown next emission time at segment end."""
-    if not 1 <= wait_k < math.inf:
-        raise ValueError(f"wait_k must be finite and >= 1, got {wait_k}")
-    if not 0 < step_size < math.inf:
-        raise ValueError(f"step_size must be finite and > 0, got {step_size}")
+    """Conservative stand-in for the unknown next emission time at segment
+    end. Refuses a k or step that no log holds, as the constructors do."""
+    _check_delay_k(_check_k(wait_k), _check_positive(step_size, "step"))
     return step_size * wait_k
 
 
@@ -268,6 +278,8 @@ def finite_delay_k(wait_k: int, step_size: float) -> bool:
 # once and called by both: a log that can be built is one the reader
 # accepts, and a rule either breaks names the same field with the same text.
 # Each raises a StreamError with no line, which the reader gives its line.
+# A number out of range fails before its type is checked; an exact float
+# (for k an int) in range returns at once.
 
 _NUMBER = (int, float)
 
@@ -330,14 +342,43 @@ def _event_time(j: int, t, event: dict) -> float:
     return _as_float(t, "events")
 
 
+def _check_positive(value, field: str) -> float:
+    """The duration's or the step's value as a float: a number a float
+    holds, finite and > 0 (NonPositiveDurationError for a duration <= 0)."""
+    if type(value) is float and 0 < value < math.inf:
+        return value
+    if _is_number(value) and not 0 < value < math.inf:
+        kind = NonPositiveDurationError if value <= 0 and field == "duration" else StreamError
+        raise kind(f"{field} must be finite and > 0, got {value}", None, field)
+    return _as_float(value, field)
+
+
+def _check_k(value) -> int:
+    """k, an int, finite and >= 1."""
+    if type(value) is int and value >= 1:
+        return value
+    if _is_number(value) and not 1 <= value < math.inf:
+        raise StreamError(f"k must be finite and >= 1, got {value}", None, "k")
+    _typed(value, (int,), "k")
+    return value
+
+
 def _check_delay_k(wait_k: int, step_size: float) -> None:
     if not finite_delay_k(wait_k, step_size):
         raise StreamError("step * k must be a finite number of seconds", None, "k")
 
 
-def _check_consumed(consumed: Iterable[float], duration: float) -> None:
-    """Refuse consumed-source entries but numbers in [0, duration] that
-    never decrease (duration is a float)."""
+def _decreasing(t: float, last_t: float) -> NonMonotonicTimeError:
+    """The error of an event's time t below last_t, the time before it."""
+    return NonMonotonicTimeError(f"emission time decreases: {t} after {last_t}", None, "events")
+
+
+def _check_consumed(consumed: Sequence[float], n: int, duration: float) -> None:
+    """Refuse consumed-source entries but n numbers, one per event, in
+    [0, duration] that never decrease (duration is a float). n is -1 for a
+    value that is no list, which no count of events matches."""
+    if n < 0 or len(consumed) != n:
+        raise StreamError("'g' must match events in length", None, "g")
     last = 0.0
     for j, x in enumerate(consumed):
         if not (type(x) is float or _is_number(x)) or not last <= x <= duration:
@@ -363,12 +404,12 @@ def _check_ref_id(segment_id: str) -> None:
         raise StreamError(f"a tab or line break splits the line: {segment_id!r}", None, "id")
 
 
-def _check_ref_tokens(tokens: tuple[str, ...], where: str = "") -> None:
+def _check_ref_tokens(tokens: tuple[str, ...]) -> None:
     """Refuse tokens but a non-empty tuple of str that " ".join(tokens).split()
-    gives back, as UTF-8 text; where starts the text for an empty tuple."""
+    gives back, as UTF-8 text."""
     _typed(tokens, (tuple,), "tokens")
     if not tokens:
-        raise StreamError(f"{where}no tokens", None, "tokens")
+        raise StreamError("no tokens", None, "tokens")
     try:
         text = " ".join(tokens)
     except TypeError:
@@ -393,7 +434,7 @@ class EmissionLog:
     every log as a line that read_log_corpus reads back as it: the
     constructors refuse what the reader rejects, with a StreamError naming
     the record field (``id``, ``duration``, ``k``, ``step``, ``events``,
-    ``g``) and, for a rule the reader keeps too, the reader's message.
+    ``g``) and the reader's message.
     """
 
     segment_id: str
@@ -405,43 +446,29 @@ class EmissionLog:
 
     def __post_init__(self) -> None:
         # The columns first: an event that is not a TokenEvent raises AttributeError.
-        # Then each rule in turn; a number out of range fails before its type is checked.
+        # Then each rule in turn.
         surfaces = [ev.surface for ev in self.events]
         times = [ev.emit_time for ev in self.events]
-        segment_id, wait_k, step_size = self.segment_id, self.wait_k, self.step_size
-        source_duration, consumed_source = self.source_duration, self.consumed_source
+        segment_id = self.segment_id
         _typed(segment_id, (str,), "id")
         _check_utf8(segment_id, "id")
-        if _is_number(source_duration) and not 0 < source_duration < math.inf:
-            raise StreamError(
-                f"source_duration must be finite and > 0, got {source_duration}", None, "duration"
-            )
-        duration = _as_float(source_duration, "duration")
-        if _is_number(wait_k) and not 1 <= wait_k < math.inf:
-            raise StreamError(f"wait_k must be finite and >= 1, got {wait_k}", None, "k")
-        _typed(wait_k, (int,), "k")
-        if _is_number(step_size) and not 0 < step_size < math.inf:
-            raise StreamError(f"step_size must be finite and > 0, got {step_size}", None, "step")
-        _as_float(step_size, "step")
-        _check_delay_k(wait_k, step_size)
-        where = f"segment {segment_id}: "
+        duration = _check_positive(self.source_duration, "duration")
+        _check_delay_k(_check_k(self.wait_k), _check_positive(self.step_size, "step"))
         last_t = -math.inf
         last = len(times) - 1
         for i, (surface, t) in enumerate(zip(surfaces, times)):
             if t < last_t:
-                raise NonMonotonicTimeError(
-                    f"{where}emission time decreases at event {i}", None, "events"
-                )
+                raise _decreasing(t, last_t)
             last_t = t
             if type(t) is not float:
                 _event_time(i, t, {"t": t, "w": surface})
             _check_utf8(surface, "events", i)
             if surface == EOS_SURFACE and i != last:
-                raise StreamError(f"{where}<eos> is not the last event", None, "events")
-        if consumed_source is not None:
-            if len(consumed_source) != len(times):
-                raise StreamError(f"{where}consumed_source length mismatch", None, "g")
-            _check_consumed(consumed_source, duration)
+                raise StreamError(
+                    f"segment {segment_id}: <eos> is not the last event", None, "events"
+                )
+        if self.consumed_source is not None:
+            _check_consumed(self.consumed_source, len(times), duration)
 
     @property
     def delay_k(self) -> float:

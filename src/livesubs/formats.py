@@ -23,14 +23,16 @@ import livesubs
 from .core import (
     EmissionLog,
     NonMonotonicTimeError,
+    NonPositiveDurationError,
+    SchemaError,
     StreamError,
-    _NUMBER,
-    _as_float,
     _block_rows,
     _built_log,
     _check_columns,
     _check_consumed,
     _check_delay_k,
+    _check_k,
+    _check_positive,
     _check_ref_id,
     _check_ref_tokens,
     _check_utf8,
@@ -58,28 +60,15 @@ __all__ = [
 ]
 
 
-class SchemaError(StreamError):
-    """A corpus record does not match the interchange schema."""
-
-    _unlocated = "record"
-
-
-class NonPositiveDurationError(SchemaError):
-    pass
-
-
-# The JSON types of the fields of a corpus record.
-_TYPES = {"id": (str,), "duration": _NUMBER, "k": (int,), "step": _NUMBER, "events": (list,)}
-
-
-def _require(record: dict, field: str):
+def _require(record: dict, field: str, types: tuple = ()):
+    """record's value of field, refused if missing or, types given, of none of them."""
     value = record.get(field)
-    types = _TYPES[field]
-    if type(value) in types:  # nearly every value; never a bool
+    if type(value) in types:  # nearly every id and event list; never a bool
         return value
     if field not in record:
         raise SchemaError("missing", None, field)
-    _typed(value, types, field)
+    if types:
+        _typed(value, types, field)
     return value
 
 
@@ -95,24 +84,15 @@ def _record_columns(record: dict, line: int | None) -> tuple:
     and field; a rule the constructors keep raises their text, as a
     SchemaError unless the time decreases."""
     try:
-        seg_id = _require(record, "id")
+        seg_id = _require(record, "id", (str,))
         _check_utf8(seg_id, "id")
-        # The constructors check these ranges too, but in other words.
-        duration = _as_float(_require(record, "duration"), "duration")
-        if duration <= 0:
-            raise NonPositiveDurationError("duration must be > 0", None, "duration")
-        if not duration < math.inf:
-            raise SchemaError("duration must be finite", None, "duration")
-        k = _require(record, "k")
-        if k < 1:
-            raise SchemaError("k must be >= 1", None, "k")
-        step = _as_float(_require(record, "step"), "step")
-        if not 0 < step < math.inf:
-            raise SchemaError("step must be finite and > 0", None, "step")
+        duration = _check_positive(_require(record, "duration"), "duration")
+        k = _check_k(_require(record, "k"))
+        step = _check_positive(_require(record, "step"), "step")
         _check_delay_k(k, step)
         surfaces: list[str] = []
         times: list[float] = []
-        for j, ev in enumerate(_require(record, "events")):
+        for j, ev in enumerate(_require(record, "events", (list,))):
             if not isinstance(ev, dict) or "t" not in ev or "w" not in ev:
                 raise SchemaError(f"event {j} needs 't' and 'w'", None, "events")
             w, t = ev["w"], ev["t"]
@@ -126,9 +106,7 @@ def _record_columns(record: dict, line: int | None) -> tuple:
             times.append(t)
         g = record.get("g")
         if g is not None:
-            if not isinstance(g, list) or len(g) != len(times):
-                raise SchemaError("'g' must match events in length", None, "g")
-            _check_consumed(g, duration)
+            _check_consumed(g, len(times) if isinstance(g, list) else -1, duration)
             g = tuple(map(float, g))
         # What the constructors still reject is about the events; g is checked.
         _check_columns(seg_id, duration, k, step, surfaces, times, None)
@@ -311,10 +289,7 @@ def _read_ref_fields(source: Iterable[str], start: int) -> Iterator[tuple]:
                 duration = float(dur_text)
             except ValueError:
                 raise SchemaError(f"bad duration {dur_text!r}", None, "duration") from None
-            if not math.isfinite(duration):
-                raise SchemaError(f"non-finite duration {dur_text!r}", None, "duration")
-            if duration <= 0:
-                raise NonPositiveDurationError("duration must be > 0", None, "duration")
+            _check_positive(duration, "duration")
             _check_utf8(token_text, "tokens")
             tokens = tuple(token_text.split())
             if not tokens:  # what str.split() gives keeps every other token rule

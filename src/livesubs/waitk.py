@@ -19,10 +19,11 @@ from .core import (
     _built_log,
     _check_columns,
     _check_delay_k,
+    _check_k,
+    _check_positive,
     _check_ref_id,
     _check_ref_tokens,
     _is_number,
-    _typed,
 )
 
 __all__ = ["WaitKConfig", "AnnotatedReference", "simulate_waitk"]
@@ -44,21 +45,16 @@ class WaitKConfig:
     flush_at_end: bool = True
 
     def __post_init__(self) -> None:
-        """Refuse a policy whose log no corpus holds (k an int, step a number,
-        neither a bool, step * k finite) or whose times overflow a float
-        (the compute latency a number a float holds)."""
-        k, step = self.k, self.step_size
-        if _is_number(k) and not 1 <= k < math.inf:
-            raise ValueError(f"k must be finite and >= 1, got {k}")
-        _typed(k, (int,), "k")
-        if _is_number(step) and not 0 < step < math.inf:
-            raise ValueError(f"step_size must be finite and > 0, got {step}")
-        _as_float(step, "step")
-        if not 0 <= self.compute_latency < math.inf:
-            raise ValueError(
-                f"compute_latency must be finite and >= 0, got {self.compute_latency}"
+        """Refuse, with a StreamError, a policy whose log no corpus holds (k
+        an int, step a number, neither a bool, step * k finite) or whose
+        times overflow a float (the compute latency a number a float holds)."""
+        k, step = _check_k(self.k), _check_positive(self.step_size, "step")
+        latency = self.compute_latency
+        if _is_number(latency) and not 0 <= latency < math.inf:
+            raise StreamError(
+                f"compute_latency must be finite and >= 0, got {latency}", None, "compute_latency"
             )
-        _as_float(self.compute_latency, "compute_latency")
+        _as_float(latency, "compute_latency")
         _check_delay_k(k, step)
 
 
@@ -82,11 +78,8 @@ class AnnotatedReference:
         """Refuse a bad id, a duration that is not a number a float holds,
         finite and > 0, or bad tokens, in that order."""
         _check_ref_id(self.segment_id)
-        where = f"segment {self.segment_id}: "
-        if _is_number(self.duration) and not 0 < self.duration < math.inf:
-            raise StreamError(f"{where}duration must be finite and > 0", None, "duration")
-        _as_float(self.duration, "duration")
-        _check_ref_tokens(self.tokens, where)
+        _check_positive(self.duration, "duration")
+        _check_ref_tokens(self.tokens)
 
 
 def simulate_waitk(ref: AnnotatedReference, cfg: WaitKConfig) -> EmissionLog:

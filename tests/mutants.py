@@ -1,12 +1,16 @@
-"""Mutation check of the column checker's fast pass.
+"""Mutation check of the column checker's fast pass and of the field checkers.
 
 core._check_columns accepts a record's columns in one pass and builds the
 log through the constructors, to raise their error, only when that pass
 fails. A clause missing from the pass lets a bad record through with no
-error at all, so each clause must be one that some test needs. Each mutant
-below deletes one clause. The runner applies it to a temporary copy of
-src/, runs the named test file against that copy under a fixed hypothesis
-seed, and requires the run to fail.
+error at all, so each clause must be one that some test needs. The field
+checkers (core._check_positive for the duration and the step, _check_k,
+and the length test of _check_consumed) each open with a fast clause that
+returns at once and then test the range before the type; every site that
+keeps a field's rule calls them, so a slip in one is a slip everywhere.
+Each mutant below deletes or shifts one clause of either. The runner
+applies it to a temporary copy of src/, runs the named test file against
+that copy under a fixed hypothesis seed, and requires the run to fail.
 
     python tests/mutants.py
 
@@ -30,8 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 CORE = "src/livesubs/core.py"
 FORMATS = "tests/test_formats.py"
+CLI = "tests/test_cli.py"
 
-# (file, exact snippet, replacement, test file): one clause of the fast pass each.
+# (file, exact snippet, replacement, test file): one clause each.
 MUTANTS = [
     (CORE, "type(segment_id) is str and (segment_id.isascii()", "(segment_id.isascii()", FORMATS),
     (CORE, "and (segment_id.isascii() or _utf8(segment_id))", "", FORMATS),
@@ -52,6 +57,24 @@ MUTANTS = [
     (CORE, "and _unbroken(text) and", "and", FORMATS),
     (CORE, "and (text.isascii() or _utf8(text))", "", FORMATS),
     (CORE, "and EOS_SURFACE not in surfaces[:-1]", "", FORMATS),
+    # core._check_positive, the duration's and the step's rule: fast clause, range, class.
+    (CORE, "if type(value) is float and 0 < value", "if 0 < value", FORMATS),
+    (CORE, "is float and 0 < value < math.inf:", "is float and 0 <= value < math.inf:", FORMATS),
+    (CORE, "is float and 0 < value < math.inf:", "is float and 0 < value:", FORMATS),
+    (CORE, "if _is_number(value) and not 0 < value", "if not 0 < value", FORMATS),
+    (CORE, "and not 0 < value < math.inf:", "and not 0 <= value < math.inf:", FORMATS),
+    (CORE, "and not 0 < value < math.inf:", "and not 0 < value:", FORMATS),
+    (CORE, "if value <= 0 and field", "if value < 0 and field", FORMATS),
+    (CORE, ' and field == "duration" else', " else", FORMATS),
+    # core._check_k: fast clause and range.
+    (CORE, "if type(value) is int and value >= 1", "if value >= 1", FORMATS),
+    (CORE, "is int and value >= 1:", "is int and value >= 0:", FORMATS),
+    (CORE, "if _is_number(value) and not 1 <= value", "if not 1 <= value", FORMATS),
+    (CORE, "and not 1 <= value < math.inf:", "and not 0 <= value < math.inf:", FORMATS),
+    (CORE, "and not 1 <= value < math.inf:", "and not 1 <= value:", FORMATS),
+    # core._check_consumed: the length of g.
+    (CORE, "if n < 0 or len(consumed) != n:", "if len(consumed) != n:", CLI),
+    (CORE, "len(consumed) != n:", "len(consumed) < n:", FORMATS),
 ]
 
 

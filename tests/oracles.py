@@ -35,9 +35,10 @@ def naive_log_fault(segment_id, duration, k, step, surfaces, times, consumed, ki
     as (any surface but a break symbol reads as a word). Then the id: a
     str, with no lone surrogate (no UTF-8 text holds one). Then the
     duration, k and the step, each in turn: a number out of its range (the
-    duration and the step finite and > 0, k finite and >= 1), then of
-    another type (a number, for k an int; a bool is neither), then, but for
-    k, an integer too large for a float. Then step * k, a finite float. Then each
+    duration and the step finite and > 0, k finite and >= 1; a duration <= 0
+    raises NonPositiveDurationError), then of another type (a number, for k
+    an int; a bool is neither), then, but for k, an integer too large for a
+    float. Then step * k, a finite float. Then each
     event in turn: a time below the one before (built events only), a time
     that is not a float (an int must fit one; a bool is no number), a word
     with a lone surrogate, <eos> anywhere but last. Last the consumed-source
@@ -81,16 +82,19 @@ def naive_log_fault(segment_id, duration, k, step, surfaces, times, consumed, ki
         return "StreamError", f"expected str, got {segment_id!r}", "id"
     if surrogate(segment_id):
         return "StreamError", f"not UTF-8 text: {segment_id!r}", "id"
-    for value, name, field, low, typename in [
-        (duration, "source_duration", "duration", 0, "a number"),
-        (k, "wait_k", "k", 1, "int"),
-        (step, "step_size", "step", 0, "a number"),
+    for value, field, low, typename in [
+        (duration, "duration", 0, "a number"),
+        (k, "k", 1, "int"),
+        (step, "step", 0, "a number"),
     ]:
         if number(value):
             in_range = value >= 1 if low else value > 0  # NaN is neither
             if not (in_range and value != float("inf")):
                 above = ">= 1" if low else "> 0"
-                return "StreamError", f"{name} must be finite and {above}, got {value}", field
+                error = "StreamError"
+                if field == "duration" and value <= 0:
+                    error = "NonPositiveDurationError"
+                return error, f"{field} must be finite and {above}, got {value}", field
         if not number(value) or (field == "k" and not isinstance(value, int)):
             return "StreamError", f"expected {typename}, got {value!r}", field
         if field != "k" and too_large(value):  # k is checked as step * k
@@ -105,7 +109,7 @@ def naive_log_fault(segment_id, duration, k, step, surfaces, times, consumed, ki
         if built and i and t < times[i - 1]:
             return (
                 "NonMonotonicTimeError",
-                f"segment {segment_id}: emission time decreases at event {i}", "events",
+                f"emission time decreases: {t} after {times[i - 1]}", "events",
             )
         if not isinstance(t, float):
             if not number(t):
@@ -119,7 +123,7 @@ def naive_log_fault(segment_id, duration, k, step, surfaces, times, consumed, ki
             return "StreamError", f"segment {segment_id}: <eos> is not the last event", "events"
     if consumed is not None:
         if len(consumed) != len(surfaces):
-            return "StreamError", f"segment {segment_id}: consumed_source length mismatch", "g"
+            return "StreamError", "'g' must match events in length", "g"
         previous = 0
         for j, x in enumerate(consumed):
             if not number(x) or not previous <= x <= float(duration):

@@ -465,6 +465,19 @@ def test_export_reports_a_file_it_cannot_write_as_an_io_error(tmp_path, logs_fil
     assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] Is a directory: 'seg00001.srt'\n"
 
 
+def test_export_does_not_write_through_a_planted_symlink(tmp_path, logs_file, capsys):
+    out_dir = tmp_path / "srt"
+    out_dir.mkdir()
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"not an SRT file\n")
+    (out_dir / "seg00002.srt").symlink_to("../victim.txt")
+    assert main(["export-srt", str(logs_file), "--out", str(out_dir)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'seg00002.srt'\n"
+    )
+    assert victim.read_bytes() == b"not an SRT file\n"
+
+
 def test_export_rejects_duplicate_ids(tmp_path, logs_file, capsys):
     corpus = _with_id(logs_file, tmp_path, 7, "seg00001")
     assert main(["export-srt", str(corpus), "--out", str(tmp_path / "srt")]) == 3
@@ -496,6 +509,40 @@ def test_integer_of_too_many_digits_exits_3(tmp_path, logs_file, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: line 2: unreadable number: Exceeds the limit ({limit} digits)"
     )
+
+
+_RECORD = {"id": "s", "duration": 2.0, "k": 3, "step": 0.28,
+           "events": [{"t": 0.5, "w": "a"}, {"t": 1.0, "w": "b"}], "g": [0.5, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "command, line, field, message",
+    [
+        ("evaluate", {**_RECORD, "duration": 0}, "duration",
+         "duration must be finite and > 0, got 0"),
+        ("simulate", "s\t-1.5\ta b <eob>", "duration",
+         "duration must be finite and > 0, got -1.5"),
+        ("simulate", "s\tinf\ta b <eob>", "duration", "duration must be finite and > 0, got inf"),
+        ("evaluate", {**_RECORD, "k": 0.5}, "k", "k must be finite and >= 1, got 0.5"),
+        ("evaluate", {**_RECORD, "step": -1}, "step", "step must be finite and > 0, got -1"),
+        ("evaluate", {**_RECORD, "g": [0.5]}, "g", "'g' must match events in length"),
+        ("evaluate", {**_RECORD, "g": 0.5}, "g", "'g' must match events in length"),
+        ("evaluate", {**_RECORD, "events": [{"t": 1.0, "w": "a"}, {"t": 0.5, "w": "b"}]},
+         "events", "emission time decreases: 0.5 after 1.0"),
+        ("simulate", "s\t1.0\t ", "tokens", "no tokens"),
+    ],
+    ids=["duration-zero", "ref-duration-negative", "ref-duration-infinite", "k-half",
+         "step-negative", "g-short", "g-number", "time-decreasing", "ref-no-tokens"],
+)
+def test_each_rule_has_one_text(tmp_path, capsys, command, line, field, message):
+    """A broken rule reads in the words the constructors use, whichever
+    file it comes in by: a corpus line (evaluate) or a reference line
+    (simulate)."""
+    path = tmp_path / "in.txt"
+    path.write_text((line if isinstance(line, str) else json.dumps(line)) + "\n",
+                    encoding="utf-8")
+    assert main([command, str(path), "--out", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err == f"error: line 1, field {field!r}: {message}\n"
 
 
 def test_simulate_rejects_non_finite_duration(tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_directly_built_objects_keep_their_rules():
             TokenEvent("<eos>", TokenKind.END_OF_SEGMENT, 0.5), TokenEvent("a", TokenKind.WORD, 1.0),
         ))
     # Events built outside parse_token_stream may be out of order.
-    decrease = "^segment s: emission time decreases at event 1$"
+    decrease = "^emission time decreases: 0.5 after 1.0$"
     with pytest.raises(NonMonotonicTimeError, match=decrease):
         EmissionLog("s", 2.0, 3, events=(
             TokenEvent("a", TokenKind.WORD, 1.0), TokenEvent("b", TokenKind.WORD, 0.5),

@@ -1,12 +1,17 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from livesubs import (
     AnnotatedReference,
+    EmissionLog,
     StreamError,
     WaitKConfig,
     average_lagging,
+    delay_k_seconds,
+    parse_token_stream,
     simulate_waitk,
 )
 
@@ -19,7 +24,7 @@ def ref(tokens, duration=10.0, seg="s1"):
 
 
 def test_reference_without_tokens_rejected():
-    with pytest.raises(StreamError, match=r"^segment s: no tokens$"):
+    with pytest.raises(StreamError, match=r"^no tokens$"):
         AnnotatedReference("s", (), 1.0)
 
 
@@ -150,3 +155,53 @@ def test_config_refuses_a_policy_whose_log_no_corpus_holds(kwargs, field, messag
         WaitKConfig(**kwargs)
     assert (info.value.field, info.value.message) == (field, message)
     assert isinstance(info.value, ValueError)
+
+
+# A value of any type: numbers in and out of every range, ints too large for
+# a float, bools, None, text and numbers of other types.
+_ANY_VALUE = (
+    st.floats() | st.integers() | st.booleans() | st.none() | st.text(max_size=3)
+    | st.fractions() | st.decimals()
+    | st.sampled_from([10**400, -(10**400), 1e308, 5e-324, -0.0, 0.5, 1.0, 3.0])
+)
+
+
+def _outcome(build):
+    """None if build() returns, else (error class, field, message)."""
+    try:
+        build()
+    except StreamError as exc:
+        return type(exc), exc.field, exc.message
+    return None
+
+
+@given(_ANY_VALUE)
+@example(0)
+@example(math.nan)
+@example(10**400)
+@example(True)
+def test_every_site_of_a_field_rule_agrees(value):
+    """Each site that keeps the rule of the duration, of k or of the step
+    either accepts a value or refuses it with the same class, field and
+    message."""
+    events = parse_token_stream([("a", 0.5), ("b", 1.0)])
+    sites = {
+        "duration": [
+            lambda: EmissionLog("s", value, 3, 0.28, events),
+            lambda: AnnotatedReference("s", ("a", "b"), value),
+        ],
+        "k": [
+            lambda: EmissionLog("s", 2.0, value, 0.28, events),
+            lambda: WaitKConfig(k=value),
+            lambda: delay_k_seconds(value, 0.28),
+        ],
+        "step": [
+            lambda: EmissionLog("s", 2.0, 3, value, events),
+            lambda: WaitKConfig(k=3, step_size=value),
+            lambda: delay_k_seconds(3, value),
+        ],
+    }
+    for field, builds in sites.items():
+        first, *others = [_outcome(build) for build in builds]
+        assert first is None or first[1] in (field, "k")  # step * k names 'k'
+        assert all(outcome == first for outcome in others), (field, first, others)
